@@ -1,6 +1,7 @@
 #include "replica/manager.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "pfs/server.hpp"
@@ -15,6 +16,17 @@ constexpr std::uint64_t kRepairContext = ~0ull;
 /// Token bucket depth, in scan intervals' worth of budget: bounds the burst
 /// a long idle stretch can bank up.
 constexpr double kTokenBucketDepth = 4.0;
+
+/// Call `fn(slot)` for every set bit of `bits` in ascending order, skipping
+/// all-zero words, until `fn` returns true. Returns whether it stopped early.
+template <class Fn>
+bool find_set_bit(const std::vector<std::uint64_t>& bits, Fn&& fn) {
+  for (std::size_t w = 0; w < bits.size(); ++w)
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
+      if (fn(w * 64 + static_cast<std::size_t>(std::countr_zero(word))))
+        return true;
+  return false;
+}
 }  // namespace
 
 RepairManager::RepairManager(sim::Engine& eng, net::Network& net,
@@ -47,13 +59,22 @@ void RepairManager::register_file(pfs::FileId id, std::uint64_t size) {
   f.id = id;
   f.size = size;
   f.chunks = map_.num_chunks(size);
-  const std::size_t copies = f.chunks * map_.replication_factor();
-  f.invalid.assign(copies, 0);
+  const std::uint32_t rf = map_.replication_factor();
+  const std::size_t copies = f.chunks * rf;
+  f.invalid.assign((copies + 63) / 64, 0);
+  f.live.assign(f.chunks, rf);
   f.attempts.assign(copies, 0);
   f.repairing.assign(copies, 0);
   f.seq.assign(copies, 0);
   f.issue.assign(copies, 0);
+  // Every copy starts valid; only one created mid-outage starts short of a
+  // live copy on the down server.
+  if (injector_ && injector_->servers_down() > 0)
+    for (std::uint64_t k = 0; k < f.chunks; ++k)
+      for (std::uint32_t r = 0; r < rf; ++r)
+        if (!server_up_(map_.server_of(k, r))) adjust_live_(f, k, false);
   tracked_.push_back(std::move(f));
+  DPAR_IF_CHECKING(check_invariants());
 }
 
 Counters& RepairManager::counters() {
@@ -89,54 +110,58 @@ Counters RepairManager::total() const {
 
 bool RepairManager::copy_live_(const FileState& f, std::uint64_t chunk,
                                std::uint32_t role) const {
-  if (f.invalid[chunk * map_.replication_factor() + role]) return false;
-  return !injector_ || !injector_->server_down(map_.server_of(chunk, role));
+  if (f.invalid_at(chunk * map_.replication_factor() + role)) return false;
+  return server_up_(map_.server_of(chunk, role));
 }
 
-std::uint64_t RepairManager::count_under_() const {
+void RepairManager::adjust_live_(FileState& f, std::uint64_t chunk, bool gained) {
   const std::uint32_t rf = map_.replication_factor();
-  std::uint64_t under = 0;
-  for (const FileState& f : tracked_)
-    for (std::uint64_t k = 0; k < f.chunks; ++k) {
-      std::uint32_t live = 0;
-      for (std::uint32_t r = 0; r < rf; ++r) live += copy_live_(f, k, r) ? 1 : 0;
-      under += live < rf ? 1 : 0;
-    }
-  return under;
-}
-
-void RepairManager::touch_() {
+  const bool was_under = f.live[chunk] < rf;
+  f.live[chunk] = gained ? f.live[chunk] + 1 : f.live[chunk] - 1;
+  const bool is_under = f.live[chunk] < rf;
+  if (was_under == is_under) return;
+  // The ledger is exact integer chunk-nanoseconds, so folding only when the
+  // count changes gives the same sum as folding at any finer split.
   const sim::Time now = eng_.now();
-  under_chunk_ns_ += static_cast<double>(under_now_) *
-                     static_cast<double>(now - under_since_);
+  under_chunk_ns_ += under_now_ * static_cast<std::uint64_t>(now - under_since_);
   under_since_ = now;
-  under_now_ = count_under_();
+  if (is_under)
+    ++under_now_;
+  else
+    --under_now_;
 }
 
-std::uint64_t RepairManager::under_replicated_now() const {
-  return count_under_();
+bool RepairManager::set_invalid_(FileState& f, std::uint64_t chunk,
+                                 std::uint32_t role, bool invalid) {
+  const std::size_t slot = chunk * map_.replication_factor() + role;
+  if (f.invalid_at(slot) == invalid) return false;
+  f.invalid[slot / 64] ^= std::uint64_t{1} << (slot % 64);
+  if (server_up_(map_.server_of(chunk, role))) adjust_live_(f, chunk, !invalid);
+  return true;
 }
 
 void RepairManager::note_invalid_(FileState& f, std::uint64_t chunk,
                                   std::uint32_t role) {
-  const std::size_t slot = chunk * map_.replication_factor() + role;
-  ++f.seq[slot];
-  if (!f.invalid[slot]) {
-    f.invalid[slot] = 1;
-    ++counters().chunks_invalidated;
-  }
+  const std::uint32_t rf = map_.replication_factor();
+  DPAR_ASSERT(chunk < f.chunks && role < rf,
+              "invalidation note for a copy outside the file");
+  ++f.seq[chunk * rf + role];
+  if (set_invalid_(f, chunk, role, true)) ++counters().chunks_invalidated;
 }
 
 void RepairManager::on_server_state_(std::uint32_t server, bool down) {
-  touch_();
-  if (down) {
-    const std::uint32_t rf = map_.replication_factor();
-    for (FileState& f : tracked_)
-      for (std::uint64_t k = 0; k < f.chunks; ++k)
-        for (std::uint32_t r = 0; r < rf; ++r)
-          if (map_.server_of(k, r) == server) note_invalid_(f, k, r);
-  }
-  touch_();
+  // The injector has already flipped the server, so every valid copy it
+  // hosts just changed liveness; a crash also dirties all of them (a copy
+  // already on a down server leaves the live counts alone when invalidated).
+  const std::uint32_t rf = map_.replication_factor();
+  for (FileState& f : tracked_)
+    for (std::uint64_t k = 0; k < f.chunks; ++k)
+      for (std::uint32_t r = 0; r < rf; ++r) {
+        if (map_.server_of(k, r) != server) continue;
+        if (!f.invalid_at(k * rf + r)) adjust_live_(f, k, !down);
+        if (down) note_invalid_(f, k, r);
+      }
+  DPAR_IF_CHECKING(check_invariants());
   // A restart makes blocked deficits actionable again; restart the daemon if
   // its tick chain had wound down after the jobs finished.
   if (!down && started_ && !ticking_ && deficit_actionable_()) arm_tick_();
@@ -147,11 +172,10 @@ void RepairManager::post_invalid_copies(pfs::FileId file, std::uint32_t role,
   if (chunks.empty()) return;
   eng_.after_in(eng_.exclusive_lane(), note_delay_,
                 [this, file, role, chunks = std::move(chunks)] {
-                  touch_();
                   for (FileState& f : tracked_)
                     if (f.id == file)
                       for (std::uint64_t k : chunks) note_invalid_(f, k, role);
-                  touch_();
+                  DPAR_IF_CHECKING(check_invariants());
                   if (started_ && !ticking_ && deficit_actionable_()) arm_tick_();
                 });
 }
@@ -160,18 +184,21 @@ bool RepairManager::deficit_actionable_() const {
   if (!injector_) return false;
   const std::uint32_t rf = map_.replication_factor();
   const sim::Time now = eng_.now();
-  for (const FileState& f : tracked_)
-    for (std::uint64_t k = 0; k < f.chunks; ++k)
-      for (std::uint32_t r = 0; r < rf; ++r) {
-        const std::size_t slot = k * rf + r;
-        if (!f.invalid[slot] || f.repairing[slot]) continue;
-        if (f.attempts[slot] >= config().repair_attempt_cap) continue;
-        if (injector_->server_down(map_.server_of(k, r))) continue;
-        for (std::uint32_t s = 0; s < rf; ++s)
-          if (s != r && copy_live_(f, k, s) &&
-              !injector_->permanently_down(map_.server_of(k, s), now))
-            return true;
-      }
+  for (const FileState& f : tracked_) {
+    const bool found = find_set_bit(f.invalid, [&](std::size_t slot) {
+      if (f.repairing[slot]) return false;
+      if (f.attempts[slot] >= config().repair_attempt_cap) return false;
+      const std::uint64_t k = slot / rf;
+      const auto r = static_cast<std::uint32_t>(slot % rf);
+      if (injector_->server_down(map_.server_of(k, r))) return false;
+      for (std::uint32_t s = 0; s < rf; ++s)
+        if (s != r && copy_live_(f, k, s) &&
+            !injector_->permanently_down(map_.server_of(k, s), now))
+          return true;
+      return false;
+    });
+    if (found) return true;
+  }
   return false;
 }
 
@@ -272,10 +299,9 @@ void RepairManager::repair_done_(std::size_t file_idx, std::uint64_t chunk,
   f.repairing[slot] = 0;
   DPAR_ASSERT(in_flight_ > 0, "repair completion without an in-flight op");
   --in_flight_;
-  touch_();
   const std::uint64_t unit = map_.layout().unit_bytes;
   if (fault::ok(st) && f.seq[slot] == issued_seq) {
-    f.invalid[slot] = 0;
+    set_invalid_(f, chunk, role, false);
     f.attempts[slot] = 0;
     ++counters().repair_ops_completed;
     counters().repair_bytes_copied += std::min(unit, f.size - chunk * unit);
@@ -284,7 +310,7 @@ void RepairManager::repair_done_(std::size_t file_idx, std::uint64_t chunk,
     if (f.attempts[slot] >= config().repair_attempt_cap)
       ++counters().chunks_unrepairable;
   }
-  touch_();
+  DPAR_IF_CHECKING(check_invariants());
   if (started_ && !ticking_ && deficit_actionable_()) arm_tick_();
 }
 
@@ -306,7 +332,6 @@ void RepairManager::arm_tick_() {
 
 void RepairManager::tick() {
   if (!injector_) return;
-  touch_();
   const sim::Time now = eng_.now();
   const double interval_s = sim::to_seconds(config().repair_scan_interval);
   repair_tokens_ = std::min(
@@ -315,38 +340,40 @@ void RepairManager::tick() {
       config().repair_bandwidth * interval_s * kTokenBucketDepth);
   last_tick_ = now;
 
+  // Visit stale copies in ascending (file, chunk, role) order until the
+  // batch fills: the order decides which deficits a full batch defers.
   const std::uint32_t rf = map_.replication_factor();
   const std::uint64_t unit = map_.layout().unit_bytes;
   std::uint32_t issued = 0;
   for (std::size_t fi = 0; fi < tracked_.size(); ++fi) {
     FileState& f = tracked_[fi];
-    for (std::uint64_t k = 0; k < f.chunks && issued < config().repair_batch_chunks;
-         ++k)
-      for (std::uint32_t r = 0; r < rf; ++r) {
-        const std::size_t slot = k * rf + r;
-        if (!f.invalid[slot] || f.repairing[slot]) continue;
-        if (f.attempts[slot] >= config().repair_attempt_cap) continue;
-        const std::uint32_t target = map_.server_of(k, r);
-        if (injector_->permanently_down(target, now)) {
-          // Fixed placement cannot re-home a copy: a fail-stop target leaves
-          // this deficit standing forever. Count it once and stop retrying.
-          f.attempts[slot] = config().repair_attempt_cap;
-          ++counters().repair_blocked_permanent;
-          continue;
-        }
-        if (injector_->server_down(target)) continue;  // wait for the restart
-        std::uint32_t source = UINT32_MAX;
-        for (std::uint32_t s = 0; s < rf && source == UINT32_MAX; ++s)
-          if (s != r && copy_live_(f, k, s)) source = s;
-        if (source == UINT32_MAX) continue;
-        const std::uint64_t bytes = std::min(unit, f.size - k * unit);
-        if (repair_tokens_ < static_cast<double>(bytes)) continue;
-        repair_tokens_ -= static_cast<double>(bytes);
-        issue_repair_(fi, k, r, source);
-        ++issued;
-        if (issued >= config().repair_batch_chunks) break;
+    const bool full = find_set_bit(f.invalid, [&](std::size_t slot) {
+      if (f.repairing[slot]) return false;
+      if (f.attempts[slot] >= config().repair_attempt_cap) return false;
+      const std::uint64_t k = slot / rf;
+      const auto r = static_cast<std::uint32_t>(slot % rf);
+      const std::uint32_t target = map_.server_of(k, r);
+      if (injector_->permanently_down(target, now)) {
+        // Fixed placement cannot re-home a copy: a fail-stop target leaves
+        // this deficit standing forever. Count it once and stop retrying.
+        f.attempts[slot] = config().repair_attempt_cap;
+        ++counters().repair_blocked_permanent;
+        return false;
       }
+      if (injector_->server_down(target)) return false;  // wait for the restart
+      std::uint32_t source = UINT32_MAX;
+      for (std::uint32_t s = 0; s < rf && source == UINT32_MAX; ++s)
+        if (s != r && copy_live_(f, k, s)) source = s;
+      if (source == UINT32_MAX) return false;
+      const std::uint64_t bytes = std::min(unit, f.size - k * unit);
+      if (repair_tokens_ < static_cast<double>(bytes)) return false;
+      repair_tokens_ -= static_cast<double>(bytes);
+      issue_repair_(fi, k, r, source);
+      return ++issued >= config().repair_batch_chunks;
+    });
+    if (full) break;
   }
+  DPAR_IF_CHECKING(check_invariants());
   if (jobs_live_() || in_flight_ > 0 || deficit_actionable_()) arm_tick_();
 }
 
@@ -360,23 +387,49 @@ DurabilityReport RepairManager::report() const {
     for (std::uint64_t k = 0; k < f.chunks; ++k) {
       std::uint32_t live = 0, recoverable = 0;
       for (std::uint32_t r = 0; r < rf; ++r) {
-        const std::size_t slot = k * rf + r;
-        rep.invalid_copies_now += f.invalid[slot] ? 1 : 0;
+        const bool invalid = f.invalid_at(k * rf + r);
+        rep.invalid_copies_now += invalid ? 1 : 0;
         live += copy_live_(f, k, r) ? 1 : 0;
         const bool gone =
             injector_ && injector_->permanently_down(map_.server_of(k, r), now);
-        recoverable += (!f.invalid[slot] && !gone) ? 1 : 0;
+        recoverable += (!invalid && !gone) ? 1 : 0;
       }
       rep.under_replicated_now += live < rf ? 1 : 0;
       rep.lost_chunks += recoverable == 0 ? 1 : 0;
     }
   }
   rep.total_copies = rep.total_chunks * rf;
-  rep.under_replicated_chunk_seconds =
-      (under_chunk_ns_ + static_cast<double>(under_now_) *
-                             static_cast<double>(now - under_since_)) /
-      1e9;
+  const std::uint64_t open = under_now_ * static_cast<std::uint64_t>(now - under_since_);
+  rep.under_replicated_chunk_seconds = static_cast<double>(under_chunk_ns_ + open) / 1e9;
   return rep;
+}
+
+void RepairManager::check_invariants() const {
+  const std::uint32_t rf = map_.replication_factor();
+  std::uint64_t under = 0, repairing = 0;
+  for (const FileState& f : tracked_) {
+    const std::size_t copies = f.chunks * rf;
+    DPAR_ASSERT(f.invalid.size() == (copies + 63) / 64 && f.live.size() == f.chunks,
+                "tracker index sized for a different file");
+    DPAR_ASSERT(copies % 64 == 0 || f.invalid.back() >> (copies % 64) == 0,
+                "invalid bit set past the file's last copy");
+    for (std::uint64_t k = 0; k < f.chunks; ++k) {
+      std::uint32_t live = 0;
+      for (std::uint32_t r = 0; r < rf; ++r) live += copy_live_(f, k, r) ? 1 : 0;
+      DPAR_ASSERT(f.live[k] == live,
+                  "incremental live-copy count drifted from a full scan");
+      under += live < rf ? 1 : 0;
+    }
+    for (std::size_t slot = 0; slot < copies; ++slot) {
+      DPAR_ASSERT(!f.repairing[slot] || f.invalid_at(slot),
+                  "repair in flight for a valid copy");
+      repairing += f.repairing[slot];
+    }
+  }
+  DPAR_ASSERT(under_now_ == under,
+              "incremental under-replicated count drifted from a full scan");
+  DPAR_ASSERT(in_flight_ == repairing,
+              "in-flight repair count disagrees with the per-copy flags");
 }
 
 }  // namespace dpar::replica

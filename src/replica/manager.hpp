@@ -7,6 +7,12 @@
 // and NIC TX paths — until full redundancy is restored, throttled by a
 // token-bucket bandwidth cap.
 //
+// The bookkeeping is incremental: per-chunk live-copy counts and the
+// under-replicated total move only where a copy's liveness changes, so a
+// note or repair completion costs O(1) per copy, a tick O(invalid copies),
+// and a crash or restart O(hosted copies). report() recounts from scratch
+// and doubles as the oracle for the incremental state.
+//
 // Concurrency contract (the usual exclusive-lane pattern, cf. dualpar::Emc):
 // all tracker state is mutated only on the engine's exclusive lane — by the
 // periodic tick, by the fault injector's server up/down listener (crash and
@@ -102,17 +108,35 @@ class RepairManager {
                                           std::vector<std::uint64_t> chunks);
 
   /// Tracker snapshot; call after the run (or from the exclusive lane).
+  /// Recomputes every figure by a full scan, independently of the
+  /// incremental counts below.
   DurabilityReport report() const;
-  std::uint64_t under_replicated_now() const;
+  /// Chunks short of rf live copies, from the incrementally kept count.
+  std::uint64_t under_replicated_now() const { return under_now_; }
   std::uint64_t repairs_in_flight() const { return in_flight_; }
+
+  /// Full structural validation (debug invariant layer): recomputes every
+  /// chunk's live-copy count, the under-replicated total and the in-flight
+  /// repair count by full scan and asserts they match the incremental
+  /// state, and that no invalid bit lies past a file's last copy. Aborts
+  /// via DPAR_ASSERT. Called after every exclusive-lane mutation when
+  /// DPAR_CHECK_INVARIANTS is compiled in.
+  void check_invariants() const;
 
  private:
   struct FileState {
     pfs::FileId id = 0;
     std::uint64_t size = 0;
     std::uint64_t chunks = 0;
-    /// chunk-major [chunk * rf + role] copy state.
-    std::vector<std::uint8_t> invalid;
+    /// Stale copies, one bit per chunk-major slot [chunk * rf + role]. The
+    /// bitmap is also the repair work index: tick() and the deficit check
+    /// visit only its set bits, in ascending slot order, skipping clean
+    /// 64-copy words.
+    std::vector<std::uint64_t> invalid;
+    /// Live copies per chunk: valid and hosted on an up server. Kept in
+    /// step with `invalid` and with server up/down transitions.
+    std::vector<std::uint32_t> live;
+    /// Per-slot copy state, chunk-major like `invalid`.
     std::vector<std::uint32_t> attempts;
     std::vector<std::uint8_t> repairing;
     /// Invalidation sequence per copy: a repair completion only validates
@@ -122,6 +146,10 @@ class RepairManager {
     /// watchdog timeout) acts only if it carries the current id, so a stale
     /// timeout can never kill a later reissue.
     std::vector<std::uint64_t> issue;
+
+    bool invalid_at(std::size_t slot) const {
+      return (invalid[slot / 64] >> (slot % 64)) & 1;
+    }
   };
 
   DPAR_EXCLUSIVE_LANE void on_server_state_(std::uint32_t server, bool down);
@@ -132,10 +160,19 @@ class RepairManager {
                                         std::uint64_t issue_id,
                                         std::uint32_t issued_seq,
                                         fault::Status st);
-  /// Fold elapsed time into the under-replicated chunk-seconds accumulator,
-  /// then recount. Call on the exclusive lane around every state change.
-  DPAR_EXCLUSIVE_LANE void touch_();
-  std::uint64_t count_under_() const;
+  /// Set copy (chunk, role)'s invalid bit, keeping the live count in step
+  /// when its server is up. Returns false (and does nothing) if the bit
+  /// already had that value.
+  DPAR_EXCLUSIVE_LANE bool set_invalid_(FileState& f, std::uint64_t chunk,
+                                        std::uint32_t role, bool invalid);
+  /// Move chunk's live-copy count up or down by one, folding the elapsed
+  /// interval into the chunk-seconds ledger first if the chunk enters or
+  /// leaves the under-replicated set.
+  DPAR_EXCLUSIVE_LANE void adjust_live_(FileState& f, std::uint64_t chunk,
+                                        bool gained);
+  bool server_up_(std::uint32_t server) const {
+    return !injector_ || !injector_->server_down(server);
+  }
   bool copy_live_(const FileState& f, std::uint64_t chunk,
                   std::uint32_t role) const;
   /// Issue one repair copy source -> target for (file, chunk, role).
@@ -162,10 +199,11 @@ class RepairManager {
   // Token bucket for repair bandwidth.
   DPAR_EXCLUSIVE_LANE double repair_tokens_ = 0.0;
   DPAR_EXCLUSIVE_LANE sim::Time last_tick_ = 0;
-  // Under-replicated chunk-seconds accumulator.
+  // Chunks short of rf live copies, and the exact chunk-nanoseconds they
+  // have accumulated up to under_since_ (the last change of under_now_).
   DPAR_EXCLUSIVE_LANE std::uint64_t under_now_ = 0;
   DPAR_EXCLUSIVE_LANE sim::Time under_since_ = 0;
-  DPAR_EXCLUSIVE_LANE double under_chunk_ns_ = 0.0;
+  DPAR_EXCLUSIVE_LANE std::uint64_t under_chunk_ns_ = 0;
   DPAR_EXCLUSIVE_LANE std::uint64_t in_flight_ = 0;
   DPAR_EXCLUSIVE_LANE std::uint64_t next_issue_ = 1;
   DPAR_EXCLUSIVE_LANE bool ticking_ = false;

@@ -5,7 +5,9 @@
 // every DPAR_PDES_WORKERS value, workers=0 (serial engine) as reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -160,11 +162,68 @@ fault::FaultPlan random_plan(std::uint64_t seed, std::uint32_t servers,
   return plan;
 }
 
+/// What the tracker cut probe saw over one run, plus the end state.
+struct TrackerLog {
+  std::uint64_t cuts = 0;
+  std::uint64_t peak_under = 0;
+  std::string first_mismatch;  ///< empty while every cut agreed
+  std::uint64_t final_incremental = 0;
+  replica::DurabilityReport final_report;
+};
+
+/// Mid-run cut points for the tracker differential. From the first server
+/// transition on, an exclusive-lane event every kCutStep compares the
+/// tracker's incremental under-replicated count with report()'s independent
+/// full scan, for as long as jobs or repairs are live. Exclusive-lane events
+/// run with every lane paused at the same simulated time, so each one is a
+/// consistent cut at any DPAR_PDES_WORKERS value.
+class CutProbe {
+ public:
+  CutProbe(harness::Testbed& tb, TrackerLog& log) : tb_(tb), log_(log) {
+    tb.fault_injector()->add_server_listener([this](std::uint32_t, bool) {
+      if (armed_) return;
+      armed_ = true;
+      arm_();
+    });
+  }
+  // The listener and the scheduled cuts hold `this`.
+  CutProbe(const CutProbe&) = delete;
+  CutProbe& operator=(const CutProbe&) = delete;
+
+ private:
+  static constexpr sim::Time kCutStep = sim::msec(7);
+
+  void arm_() {
+    sim::Engine& eng = tb_.engine();
+    eng.after_in(eng.exclusive_lane(), kCutStep, [this] { cut_(); });
+  }
+
+  void cut_() {
+    const replica::RepairManager& rm = *tb_.replica_manager();
+    rm.check_invariants();
+    const std::uint64_t incremental = rm.under_replicated_now();
+    const std::uint64_t scan = rm.report().under_replicated_now;
+    ++log_.cuts;
+    log_.peak_under = std::max(log_.peak_under, scan);
+    if (incremental != scan && log_.first_mismatch.empty())
+      log_.first_mismatch = "t=" + std::to_string(tb_.engine().now()) +
+                            " incremental=" + std::to_string(incremental) +
+                            " scan=" + std::to_string(scan);
+    if (!tb_.all_jobs_finished() || rm.repairs_in_flight() > 0) arm_();
+  }
+
+  harness::Testbed& tb_;
+  TrackerLog& log_;
+  bool armed_ = false;
+};
+
 /// Everything a replicated run observably produces, flattened: completion,
 /// bytes, events, latency tails, the fault ledger AND the durability report.
-std::string rep_signature(std::uint64_t seed, int workers, std::uint32_t rf,
-                          replica::Placement placement,
-                          replica::WriteFanout fanout) {
+/// With `cuts`, the run also carries a CutProbe and the signature its tally.
+std::string rep_signature(const fault::FaultPlan& plan, int workers,
+                          std::uint32_t rf, replica::Placement placement,
+                          replica::WriteFanout fanout,
+                          TrackerLog* cuts = nullptr) {
   harness::TestbedConfig cfg;
   cfg.data_servers = 4;
   cfg.compute_nodes = 3;
@@ -174,8 +233,10 @@ std::string rep_signature(std::uint64_t seed, int workers, std::uint32_t rf,
   cfg.replica.replication_factor = rf;
   cfg.replica.placement = placement;
   cfg.replica.fanout = fanout;
-  cfg.fault = random_plan(seed, cfg.data_servers, cfg.compute_nodes);
+  cfg.fault = plan;
   harness::Testbed tb(cfg);
+  std::optional<CutProbe> probe;
+  if (cuts) probe.emplace(tb, *cuts);
   wl::DemoConfig wr;
   wr.file = tb.create_file("w", 3ull << 20);
   wr.file_size = 3ull << 20;
@@ -202,7 +263,45 @@ std::string rep_signature(std::uint64_t seed, int workers, std::uint32_t rf,
   sig += " rd_p99=" + std::to_string(lat.percentile(0.99));
   sig += "\n" + metrics::format_fault_report(tb.fault_injector()->total());
   sig += metrics::format_replica_report(tb.replica_manager()->report());
+  if (cuts) {
+    sig += "cuts=" + std::to_string(cuts->cuts) +
+           " peak_under=" + std::to_string(cuts->peak_under) + "\n";
+    cuts->final_incremental = tb.replica_manager()->under_replicated_now();
+    cuts->final_report = tb.replica_manager()->report();
+  }
   return sig;
+}
+
+/// Tracker differential cases: random_plan's stalls, drops, partition and
+/// crash at rf 2 and 3 over all three placements. A fail-stop case never
+/// restarts its crashed server, so its copies stay invalid for good and the
+/// writes aimed at them fail and post invalidation notes.
+struct TrackerCase {
+  std::uint64_t seed;
+  std::uint32_t rf;
+  replica::Placement placement;
+  replica::WriteFanout fanout;
+  bool fail_stop;
+};
+
+constexpr TrackerCase kTrackerCases[] = {
+    {0x7a1, 2, replica::Placement::kNodeLocal, replica::WriteFanout::kStar, true},
+    {0x7a2, 2, replica::Placement::kRotational, replica::WriteFanout::kChain, false},
+    {0x7a3, 2, replica::Placement::kRackAware, replica::WriteFanout::kStar, false},
+    {0x7a4, 3, replica::Placement::kNodeLocal, replica::WriteFanout::kChain, false},
+    {0x7a5, 3, replica::Placement::kRotational, replica::WriteFanout::kStar, true},
+    {0x7a6, 3, replica::Placement::kRackAware, replica::WriteFanout::kChain, true},
+};
+
+fault::FaultPlan tracker_plan(const TrackerCase& c) {
+  fault::FaultPlan plan = random_plan(c.seed, 4, 3);
+  if (c.fail_stop) plan.server.crashes[0].restart_at = fault::kNeverRestarts;
+  plan.validate();
+  return plan;
+}
+
+std::string tracker_signature(const TrackerCase& c, int workers, TrackerLog& log) {
+  return rep_signature(tracker_plan(c), workers, c.rf, c.placement, c.fanout, &log);
 }
 
 TEST(ReplicationDeterminism, ByteIdenticalAcrossWorkerCounts) {
@@ -218,13 +317,25 @@ TEST(ReplicationDeterminism, ByteIdenticalAcrossWorkerCounts) {
       {0xbeef, 3, replica::Placement::kNodeLocal, replica::WriteFanout::kChain},
   };
   for (const Case& c : cases) {
-    const std::string w0 =
-        rep_signature(c.seed, 0, c.rf, c.placement, c.fanout);
+    const fault::FaultPlan plan = random_plan(c.seed, 4, 3);
+    const std::string w0 = rep_signature(plan, 0, c.rf, c.placement, c.fanout);
     for (int workers : {1, 4}) {
       const std::string w =
-          rep_signature(c.seed, workers, c.rf, c.placement, c.fanout);
+          rep_signature(plan, workers, c.rf, c.placement, c.fanout);
       EXPECT_EQ(w0, w) << "seed " << std::hex << c.seed << std::dec << " rf "
                        << c.rf << " workers=" << workers;
+    }
+  }
+  // The tracker differential's plans, cut probe included.
+  for (const TrackerCase& c : kTrackerCases) {
+    TrackerLog log0;
+    const std::string w0 = tracker_signature(c, 0, log0);
+    for (int workers : {1, 4}) {
+      TrackerLog log;
+      EXPECT_EQ(w0, tracker_signature(c, workers, log))
+          << "tracker seed " << std::hex << c.seed << std::dec
+          << " workers=" << workers;
+      EXPECT_EQ(log.first_mismatch, "") << "workers=" << workers;
     }
   }
 }
@@ -232,11 +343,72 @@ TEST(ReplicationDeterminism, ByteIdenticalAcrossWorkerCounts) {
 TEST(ReplicationDeterminism, LedgerIsNonTrivialUnderThePlan) {
   // Guard against the determinism sweep passing vacuously: the randomized
   // plans must actually invalidate copies and drive repair traffic.
-  const std::string sig = rep_signature(
-      0xfade, 1, 2, replica::Placement::kRotational, replica::WriteFanout::kStar);
+  const std::string sig =
+      rep_signature(random_plan(0xfade, 4, 3), 1, 2,
+                    replica::Placement::kRotational, replica::WriteFanout::kStar);
   EXPECT_NE(sig.find("server_crashes: 1"), std::string::npos) << sig;
   EXPECT_EQ(sig.find("chunks_invalidated: 0\n"), std::string::npos) << sig;
   EXPECT_EQ(sig.find("repair_ops_completed: 0\n"), std::string::npos) << sig;
+}
+
+// ---------------------------------------------------------------------------
+// Incremental tracker vs full scan
+// ---------------------------------------------------------------------------
+
+TEST(ReplicationTracker, IncrementalCountMatchesFullScanAtEveryCut) {
+  // The tracker keeps its under-replicated count incrementally (per-chunk
+  // live counts moved by crashes, restarts, invalidation notes and repair
+  // completions); report() recounts from scratch. They must agree at every
+  // mid-run cut and at the end, whatever the plan throws at them.
+  std::uint64_t write_failures = 0, blocked = 0, completed = 0;
+  for (const TrackerCase& c : kTrackerCases) {
+    SCOPED_TRACE("tracker seed " + std::to_string(c.seed) + " rf " +
+                 std::to_string(c.rf) + " " + to_string(c.placement) +
+                 (c.fail_stop ? " fail-stop" : " restarting"));
+    TrackerLog log;
+    tracker_signature(c, 0, log);
+    EXPECT_EQ(log.first_mismatch, "");
+    EXPECT_EQ(log.final_incremental, log.final_report.under_replicated_now);
+    // Non-vacuity: the probe ran through the outage and saw deficits.
+    EXPECT_GT(log.cuts, 10u);
+    EXPECT_GT(log.peak_under, 0u);
+    EXPECT_EQ(log.final_report.lost_chunks, 0u);
+    if (c.fail_stop) {
+      EXPECT_GT(log.final_report.under_replicated_now, 0u)
+          << "a fail-stop server's copies stay unrebuilt";
+    }
+    write_failures += log.final_report.counters.copy_write_failures;
+    blocked += log.final_report.counters.repair_blocked_permanent;
+    completed += log.final_report.counters.repair_ops_completed;
+  }
+  // The plans exercise every tracker input: write-failure notes, fail-stop
+  // blocks and repair completions.
+  EXPECT_GT(write_failures, 0u);
+  EXPECT_GT(blocked, 0u);
+  EXPECT_GT(completed, 0u);
+}
+
+TEST(ReplicationTracker, FileCreatedDuringAnOutageCountsItsDownCopiesAsNotLive) {
+  // A fail-stop server is still down after the run; a file created then has
+  // valid copies there that are not live, so it starts under-replicated.
+  harness::TestbedConfig cfg;
+  cfg.data_servers = 4;
+  cfg.compute_nodes = 1;
+  cfg.cores_per_node = 1;
+  cfg.replica.replication_factor = 2;
+  cfg.fault.server.crashes.push_back(
+      {/*server=*/2, sim::msec(20), fault::kNeverRestarts});
+  harness::Testbed tb(cfg);
+  tb.create_file("early", 1ull << 20);
+  tb.run();
+  replica::RepairManager& rm = *tb.replica_manager();
+  const std::uint64_t before = rm.under_replicated_now();
+  tb.create_file("late", 1ull << 20);
+  rm.check_invariants();
+  EXPECT_EQ(rm.under_replicated_now(), rm.report().under_replicated_now);
+  EXPECT_GT(rm.under_replicated_now(), before);
+  EXPECT_EQ(rm.report().invalid_copies_now, before)
+      << "the late file's copies are valid, only their server is down";
 }
 
 // ---------------------------------------------------------------------------
@@ -398,6 +570,26 @@ TEST(ReplicationDeath, OutOfReplicaRoleTripsAssert) {
   // the last replica is the bug the invariant layer exists to catch.
   const replica::ReplicaMap map = make_map(4, 2, replica::Placement::kRotational);
   EXPECT_DEATH(map.server_of(0, 2), "replica role out of range");
+}
+
+TEST(ReplicationDeath, OutOfRangeInvalidationNoteTripsAssert) {
+  // Client write paths hand post_invalid_copies raw chunk indices; a chunk
+  // past the file's end or a role past rf-1 would index the tracker out of
+  // bounds.
+  auto post_and_run = [](std::uint64_t chunk, std::uint32_t role) {
+    harness::TestbedConfig cfg;
+    cfg.data_servers = 4;
+    cfg.compute_nodes = 1;
+    cfg.cores_per_node = 1;
+    cfg.pdes_workers = 0;
+    cfg.replica.replication_factor = 2;
+    harness::Testbed tb(cfg);
+    const pfs::FileId file = tb.create_file("f", 1ull << 20);  // 16 chunks
+    tb.replica_manager()->post_invalid_copies(file, role, {chunk});
+    tb.engine().run();
+  };
+  EXPECT_DEATH(post_and_run(16, 0), "invalidation note for a copy outside the file");
+  EXPECT_DEATH(post_and_run(0, 2), "invalidation note for a copy outside the file");
 }
 #endif
 
