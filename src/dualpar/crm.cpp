@@ -72,16 +72,20 @@ WritebackPlan plan_writeback(std::vector<pfs::Segment> dirty, const BatchOptions
   return plan;
 }
 
-double mean_adjacent_distance(std::vector<pfs::Segment> segments) {
+double mean_adjacent_distance(const std::vector<pfs::Segment>& segments) {
   if (segments.size() < 2) return 0.0;
-  sort_by_offset(segments);
-  double sum = 0.0;
-  for (std::size_t i = 1; i < segments.size(); ++i) {
-    const auto& prev = segments[i - 1];
-    const auto& cur = segments[i];
-    sum += static_cast<double>(cur.offset >= prev.offset ? cur.offset - prev.offset : 0);
+  std::uint64_t lo = UINT64_MAX, hi = 0;
+  for (const auto& s : segments) {
+    lo = std::min(lo, s.offset);
+    hi = std::max(hi, s.offset);
   }
-  return sum / static_cast<double>(segments.size() - 1);
+  return mean_adjacent_distance(lo, hi, segments.size());
+}
+
+double mean_adjacent_distance(std::uint64_t min_offset, std::uint64_t max_offset,
+                              std::uint64_t count) {
+  if (count < 2) return 0.0;
+  return static_cast<double>(max_offset - min_offset) / static_cast<double>(count - 1);
 }
 
 }  // namespace dpar::dualpar

@@ -37,7 +37,15 @@ struct WritebackPlan {
 WritebackPlan plan_writeback(std::vector<pfs::Segment> dirty, const BatchOptions& opt);
 
 /// Average adjacent distance (bytes) between sorted segments — the client
-/// side ReqDist metric (§IV-B) over one observation slot.
-double mean_adjacent_distance(std::vector<pfs::Segment> segments);
+/// side ReqDist metric (§IV-B) over one observation slot. Once the offsets
+/// are sorted the adjacent differences telescope to max - min, so this is a
+/// single min/max pass; no copy, no sort.
+double mean_adjacent_distance(const std::vector<pfs::Segment>& segments);
+
+/// The same metric from an offset multiset's extremes and size (0 below two
+/// offsets). Every term and partial sum of the sorted form is an integer
+/// below 2^53, so the result has the same bits as summing the differences.
+double mean_adjacent_distance(std::uint64_t min_offset, std::uint64_t max_offset,
+                              std::uint64_t count);
 
 }  // namespace dpar::dualpar

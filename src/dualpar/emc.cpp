@@ -148,33 +148,42 @@ bool Emc::latched_off(std::uint32_t job_id) const {
   return e != nullptr && e->latched;
 }
 
+Emc::OffsetSpan& Emc::span_of(FileSpans& spans, pfs::FileId file) {
+  auto it = std::lower_bound(spans.begin(), spans.end(), file,
+                             [](const auto& p, pfs::FileId f) { return p.first < f; });
+  if (it == spans.end() || it->first != file) it = spans.insert(it, {file, {}});
+  return it->second;
+}
+
 void Emc::observe(std::uint32_t job_id, pfs::FileId file,
                   const std::vector<pfs::Segment>& segments, sim::Time) {
   // Called from the issuing rank's lane, possibly inside a parallel window:
   // only the lane's own shard is touched here. The job table is folded into
   // at tick time, on the exclusive lane.
+  // Jobs register at setup, before any lane runs: the lookup is read-only.
+  if (segments.empty() || find_job(job_id) == nullptr) return;
   const sim::LaneId l = eng_.current_lane();
   auto& shard = obs_shards_[l < obs_shards_.size() ? l : 0];
-  shard.push_back(PendingObs{job_id, file, segments});
+  if (shard.size() <= job_id) shard.resize(job_id + 1);
+  OffsetSpan& span = span_of(shard[job_id], file);
+  for (const pfs::Segment& s : segments) {
+    span.lo = std::min(span.lo, s.offset);
+    span.hi = std::max(span.hi, s.offset);
+  }
+  span.n += segments.size();
 }
 
 void Emc::flush_observations_() {
-  // Lane order is fixed, and within a lane the buffer order is that lane's
-  // deterministic event order — but ReqDist only consumes offset multisets,
-  // so any shard interleaving would produce the same tick results anyway.
+  // Min, max and count merge commutatively, so the shard order is free.
   for (auto& shard : obs_shards_) {
-    for (PendingObs& o : shard) {
-      JobEntry* e = find_job(o.job_id);
-      if (e == nullptr) continue;
-      auto& reqs = e->slot_requests;
-      auto it = std::lower_bound(
-          reqs.begin(), reqs.end(), o.file,
-          [](const auto& p, pfs::FileId f) { return p.first < f; });
-      if (it == reqs.end() || it->first != o.file)
-        it = reqs.insert(it, {o.file, {}});
-      it->second.insert(it->second.end(), o.segments.begin(), o.segments.end());
+    for (std::uint32_t id = 0; id < shard.size(); ++id) {
+      JobEntry* e = find_job(id);
+      for (auto& [file, obs] : shard[id]) {
+        if (obs.n == 0) continue;
+        if (e != nullptr) span_of(e->slot_spans, file).merge(obs);
+        obs = OffsetSpan{};
+      }
     }
-    shard.clear();
   }
 }
 
@@ -219,14 +228,13 @@ void Emc::tick() {
   for (JobEntry& e : entries_) {
     double job_sum = 0.0;
     std::uint32_t job_n = 0;
-    for (auto& [file, segs] : e.slot_requests) {
-      if (segs.size() < 2) continue;
-      job_sum += mean_adjacent_distance(segs);
-      ++job_n;
+    for (auto& [file, span] : e.slot_spans) {
+      if (span.n >= 2) {
+        job_sum += mean_adjacent_distance(span.lo, span.hi, span.n);
+        ++job_n;
+      }
+      span = OffsetSpan{};
     }
-    // Keep the per-file vectors (and their capacity); empty files are
-    // skipped by the size guard above, so results are unchanged.
-    for (auto& [file, segs] : e.slot_requests) segs.clear();
     if (job_n > 0) {
       req_sum += job_sum / job_n;
       ++req_n;

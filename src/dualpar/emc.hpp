@@ -5,13 +5,16 @@
 //    in the last slot (from the blktrace recorders);
 //  * per-job ReqDist: mean adjacent distance of the job's requests observed
 //    at the compute nodes in the last slot, after sorting per file — the best
-//    I/O efficiency a data-driven reordering could achieve;
+//    I/O efficiency a data-driven reordering could achieve. Sorted adjacent
+//    distances telescope to (max - min) / (n - 1), so a slot keeps only each
+//    (job, file)'s offset extremes and request count, never the requests;
 //  * per-job I/O ratio, from the instrumented ADIO timing probes.
 // A job enters data-driven mode when aveSeekDist/aveReqDist > T_improvement
 // and its I/O ratio exceeds 80%; it reverts when the condition clears, and is
 // latched back to normal when its average mis-prefetch ratio exceeds 20%.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -57,10 +60,10 @@ class Emc : public mpiio::RequestObserver {
   void set_fault_injector(fault::FaultInjector* inj) { injector_ = inj; }
 
   /// ADIO request observation (client side, feeds ReqDist). Hot path: the
-  /// observation is buffered in the calling lane's shard; tick() folds the
-  /// shards in lane order with every lane quiescent. ReqDist is computed
-  /// over offset multisets (mean_adjacent_distance sorts), so the fold
-  /// order never changes the result.
+  /// call folds into the calling lane's shard as per-(job, file) offset
+  /// extremes and counts; tick() merges the shards with every lane
+  /// quiescent. Min, max and sum commute, so the fold order never changes
+  /// the result.
   DPAR_CROSS_LANE_API void observe(std::uint32_t job_id, pfs::FileId file,
                const std::vector<pfs::Segment>& segments, sim::Time now) override;
 
@@ -89,6 +92,23 @@ class Emc : public mpiio::RequestObserver {
   std::uint64_t mode_switches() const { return switches_; }
 
  private:
+  /// Offset extremes and count of one (job, file)'s requests in a slot:
+  /// everything ReqDist needs.
+  struct OffsetSpan {
+    std::uint64_t lo = UINT64_MAX;
+    std::uint64_t hi = 0;
+    std::uint64_t n = 0;
+    void merge(const OffsetSpan& o) {
+      lo = std::min(lo, o.lo);
+      hi = std::max(hi, o.hi);
+      n += o.n;
+    }
+  };
+  /// FileId-sorted flat vector (binary-search insert). Spans are reset, not
+  /// erased, between slots, so a steady file set never reallocates.
+  using FileSpans = std::vector<std::pair<pfs::FileId, OffsetSpan>>;
+  static OffsetSpan& span_of(FileSpans& spans, pfs::FileId file);
+
   struct JobEntry {
     std::uint32_t id = 0;
     mpi::Job* job = nullptr;
@@ -100,25 +120,12 @@ class Emc : public mpiio::RequestObserver {
     sim::Time prev_io = 0;
     sim::Time prev_compute = 0;
     double io_ratio = 0.0;
-    // Request observations of the current slot, per file: a FileId-sorted
-    // flat vector (binary-search insert in observe(), the per-op hot path).
-    // Segment vectors are cleared, not erased, between slots so their
-    // capacity survives — at thousands of observes per slot the node churn
-    // of the old per-file std::map dominated tick().
-    std::vector<std::pair<pfs::FileId, std::vector<pfs::Segment>>> slot_requests;
+    // Request offsets of the current slot, folded from the lane shards.
+    FileSpans slot_spans;
     sim::TimeSeries mode_series;
     // Switch damping.
     std::uint32_t agree_slots = 0;
     sim::Time last_switch = 0;
-  };
-
-  /// One buffered observe() call, parked in its lane's shard until the next
-  /// tick. The segment vector is copied at observe time — the caller's
-  /// vector is stack-transient.
-  struct PendingObs {
-    std::uint32_t job_id;
-    pfs::FileId file;
-    std::vector<pfs::Segment> segments;
   };
 
   void update_degraded();
@@ -135,9 +142,11 @@ class Emc : public mpiio::RequestObserver {
   // side table for O(1) lookup on the per-op paths (observe, mode).
   std::vector<JobEntry> entries_;
   std::vector<std::uint32_t> slot_of_;  ///< job id -> entries_ index + 1; 0 = absent
-  /// One observation buffer per lane: observe() only ever touches the
-  /// calling lane's shard, so no routing is needed on the per-op hot path.
-  DPAR_LANE_SAFE std::vector<std::vector<PendingObs>> obs_shards_;
+  /// One observation accumulator per lane, indexed by job id: observe()
+  /// only ever touches the calling lane's shard, so no routing is needed on
+  /// the per-op hot path. State is O(jobs x files) per shard, independent of
+  /// the request count.
+  DPAR_LANE_SAFE std::vector<std::vector<FileSpans>> obs_shards_;
   fault::FaultInjector* injector_ = nullptr;
   DPAR_EXCLUSIVE_LANE std::uint32_t servers_down_ = 0;
   double error_ewma_ = 0.0;

@@ -10,6 +10,8 @@
 
 namespace dpar::mpi {
 
+const sim::Histogram Process::kNoLatency{};
+
 Process::Process(sim::Engine& eng, Job& job, std::uint32_t rank, std::uint32_t global_id,
                  std::unique_ptr<Program> prog, cluster::ComputeNode& node)
     : eng_(eng), job_(job), rank_(rank), global_id_(global_id), prog_(std::move(prog)),

@@ -31,7 +31,8 @@ class IoDriver {
  public:
   virtual ~IoDriver() = default;
 
-  /// Serve one I/O call of `proc`; `done` resumes the process.
+  /// Serve one I/O call of `proc`; `done` resumes the process. The caller
+  /// keeps `call` alive until `done` has run, so drivers may hold a pointer.
   virtual void io(Process& proc, const IoCall& call, sim::UniqueFunction done) = 0;
 
   /// Notifications the DualPar cycle coordinator relies on.
@@ -83,11 +84,15 @@ class Process {
 
   /// Per-call I/O latency, recorded rank-locally so concurrent lanes never
   /// share a histogram; Job merges the shards in rank order at read time.
-  const sim::Histogram& read_latency() const { return read_lat_; }
-  const sim::Histogram& write_latency() const { return write_lat_; }
+  /// The pair is allocated on the first record (a rank that never does I/O
+  /// costs one pointer, not 1 KB of zeroed buckets); until then both read as
+  /// an empty histogram.
+  const sim::Histogram& read_latency() const { return lat_ ? lat_->read : kNoLatency; }
+  const sim::Histogram& write_latency() const { return lat_ ? lat_->write : kNoLatency; }
   void record_latency(bool is_write, sim::Time latency) {
-    (is_write ? write_lat_ : read_lat_)
-        .add(static_cast<double>(latency) / sim::kNsPerUs);
+    if (!lat_) lat_ = std::make_unique<Latency>();
+    sim::Histogram& h = is_write ? lat_->write : lat_->read;
+    h.add(static_cast<double>(latency) / sim::kNsPerUs);
   }
 
   /// Observed application I/O throughput (bytes per second of elapsed time
@@ -117,8 +122,12 @@ class Process {
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;
   sim::Time finish_time_ = -1;
-  sim::Histogram read_lat_;
-  sim::Histogram write_lat_;
+  struct Latency {
+    sim::Histogram read;
+    sim::Histogram write;
+  };
+  static const sim::Histogram kNoLatency;
+  std::unique_ptr<Latency> lat_;
 };
 
 class Job {

@@ -1,6 +1,7 @@
 #include "pfs/file_system.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -247,7 +248,9 @@ struct RepOp {
   std::uint64_t context;
   std::uint64_t total_bytes;
   std::uint32_t pending;  ///< shards not yet terminal (grows on failover)
-  std::uint32_t refs = 0;
+  /// Atomic: under per-node lanes a server lane can destroy a completion
+  /// callback holding a ref while the client lane drops another.
+  std::atomic<std::uint32_t> refs = 0;
   bool degraded_counted = false;
   IoDoneFn done;
   /// Writes: worst outcome per role; the op succeeds if ANY role's shard set
@@ -276,13 +279,13 @@ struct RepOp {
   std::vector<Shard> shards;
 
   void unref() {
-    if (--refs == 0) delete this;
+    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
   }
 };
 
 struct RepOpRef {
   RepOp* op;
-  explicit RepOpRef(RepOp* o) : op(o) { ++o->refs; }
+  explicit RepOpRef(RepOp* o) : op(o) { o->refs.fetch_add(1, std::memory_order_relaxed); }
   RepOpRef(RepOpRef&& other) noexcept : op(other.op) { other.op = nullptr; }
   RepOpRef(const RepOpRef&) = delete;
   RepOpRef& operator=(const RepOpRef&) = delete;

@@ -2,7 +2,10 @@
 // write-back planning, ReqDist.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "dualpar/crm.hpp"
+#include "reqdist_reference.hpp"
 #include "sim/rng.hpp"
 
 namespace dpar::dualpar {
@@ -136,6 +139,20 @@ TEST(MeanAdjacentDistance, SortsBeforeMeasuring) {
 TEST(MeanAdjacentDistance, DegenerateCases) {
   EXPECT_DOUBLE_EQ(mean_adjacent_distance({}), 0.0);
   EXPECT_DOUBLE_EQ(mean_adjacent_distance({{100, 10}}), 0.0);
+}
+
+TEST(MeanAdjacentDistance, LinearPassMatchesSortedSumBitForBit) {
+  // The adjacent differences of sorted offsets telescope to max - min; with
+  // every offset below 2^53 each partial sum is exact, so the single pass
+  // must reproduce the sort-then-sum result to the last bit.
+  sim::Rng rng(0x5eed);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto segs = reference::random_multiset(rng);
+    const double want = reference::mean_adjacent_distance(segs);
+    const double got = mean_adjacent_distance(segs);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << "trial " << trial << ": " << got << " vs " << want;
+  }
 }
 
 }  // namespace

@@ -2,10 +2,12 @@
 // confirmation/dwell damping, mis-prefetch latching, policies.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 
 #include "dualpar/emc.hpp"
 #include "harness/testbed.hpp"
+#include "reqdist_reference.hpp"
 #include "wl/workloads.hpp"
 
 namespace dpar::dualpar {
@@ -95,6 +97,91 @@ TEST_F(EmcFixture, ObservationsForUnknownJobsIgnored) {
   tb->engine().run_until(sim::msec(600));
   tb->emc().tick();
   EXPECT_DOUBLE_EQ(tb->emc().last_req_dist_bytes(), 0.0);
+}
+
+/// Completes every call at once; only the job's identity matters here.
+struct NullDriver : mpi::IoDriver {
+  void io(mpi::Process&, const mpi::IoCall&, sim::UniqueFunction done) override {
+    done();
+  }
+  std::string name() const override { return "null"; }
+};
+
+TEST(EmcReqDist, ShardedSplitObservationsMatchOneCallAndTheSortedFormula) {
+  // ReqDist folds each observe() into per-(job, file) offset extremes and
+  // counts in the calling lane's shard. Splitting the same requests over
+  // many calls and four lane shards must give the same bits as one call per
+  // (job, file), and as the sort-then-sum formula averaged the way tick()
+  // averages it (per job over files, then over jobs).
+  constexpr std::uint32_t kJobs = 2;
+  constexpr pfs::FileId kFiles = 3;
+  sim::Rng rng(0xd157);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<std::vector<std::vector<pfs::Segment>>> obs(
+        kJobs, std::vector<std::vector<pfs::Segment>>(kFiles));
+    for (auto& job : obs)
+      for (auto& file : job) file = reference::random_multiset(rng);
+
+    double req_sum = 0.0;
+    std::uint32_t req_n = 0;
+    for (const auto& job : obs) {
+      double job_sum = 0.0;
+      std::uint32_t job_n = 0;
+      for (const auto& file : job) {
+        if (file.size() < 2) continue;
+        job_sum += reference::mean_adjacent_distance(file);
+        ++job_n;
+      }
+      if (job_n > 0) {
+        req_sum += job_sum / job_n;
+        ++req_n;
+      }
+    }
+    const double want = req_n ? req_sum / req_n : 0.0;
+
+    NullDriver drv;
+    sim::Engine one_eng;
+    mpi::Job one_a(one_eng, 0, "a", drv), one_b(one_eng, 1, "b", drv);
+    Emc one(one_eng, Params{}, {});
+    one.register_job(one_a, Policy::kAdaptive);
+    one.register_job(one_b, Policy::kAdaptive);
+    for (std::uint32_t j = 0; j < kJobs; ++j)
+      for (pfs::FileId f = 0; f < kFiles; ++f) one.observe(j, f, obs[j][f], 0);
+    one.tick();
+
+    sim::Engine eng;
+    for (int l = 0; l < 3; ++l) eng.add_lane();
+    eng.set_lookahead(sim::usec(50));
+    mpi::Job a(eng, 0, "a", drv), b(eng, 1, "b", drv);
+    Emc sharded(eng, Params{}, {});
+    sharded.set_lane_count(eng.num_lanes());
+    sharded.register_job(a, Policy::kAdaptive);
+    sharded.register_job(b, Policy::kAdaptive);
+    for (std::uint32_t j = 0; j < kJobs; ++j) {
+      for (pfs::FileId f = 0; f < kFiles; ++f) {
+        const auto& all = obs[j][f];
+        for (std::size_t i = 0; i < all.size();) {
+          const std::size_t n = std::min<std::size_t>(all.size() - i, 1 + rng.uniform(6));
+          std::vector<pfs::Segment> chunk(all.begin() + i, all.begin() + i + n);
+          i += n;
+          eng.at_in(static_cast<sim::LaneId>(rng.uniform(eng.num_lanes())),
+                    sim::usec(rng.uniform(200)),
+                    [&sharded, j, f, chunk = std::move(chunk)] {
+                      sharded.observe(j, f, chunk, 0);
+                    });
+        }
+      }
+    }
+    eng.run();
+    sharded.tick();
+
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(one.last_req_dist_bytes()),
+              std::bit_cast<std::uint64_t>(want))
+        << "trial " << trial;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(sharded.last_req_dist_bytes()),
+              std::bit_cast<std::uint64_t>(want))
+        << "trial " << trial;
+  }
 }
 
 TEST(EmcDamping, ConfirmSlotsPreventSingleSlotFlips) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "collective_reference.hpp"
 #include "harness/testbed.hpp"
+#include "sim/rng.hpp"
 #include "wl/workloads.hpp"
 
 namespace dpar::mpiio {
@@ -179,6 +182,104 @@ TEST(Collective, DataSievingReadsContiguousSpan) {
   for (std::uint32_t s = 0; s < tb.num_servers(); ++s)
     served += tb.server(s).bytes_read();
   EXPECT_GT(served, job.total_bytes());  // holes were read along (sieving)
+}
+
+/// One rank's segments in one of the layouts collective rounds see.
+std::vector<pfs::Segment> random_rank_segments(sim::Rng& rng, int layout,
+                                               std::uint32_t rank, std::uint64_t base) {
+  std::vector<pfs::Segment> segs;
+  const std::uint32_t n = static_cast<std::uint32_t>(rng.uniform(12));
+  const std::uint64_t cell = rng.uniform_between(1, 4096);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    pfs::Segment s{};
+    switch (layout) {
+      case 0:  // interleaved rows (BTIO): rank r's cell of row i
+        s = {base + (i * 64 + rank) * cell, cell};
+        break;
+      case 1:  // rank-major blocks, ascending within the rank
+        s = {base + (rank * 16 + i) * cell, cell};
+        break;
+      case 2:  // ascending, overlapping and touching neighbours
+        s = {base + rank * 100 + i * cell / 2, rng.uniform_between(1, 2 * cell)};
+        break;
+      default:  // anything, in any order
+        s = {base + rng.uniform(1 << 20), rng.uniform_between(1, 1 << 14)};
+        break;
+    }
+    if (rng.chance(0.1)) s.length = 0;
+    segs.push_back(s);
+  }
+  if (layout < 3 && rng.chance(0.05) && segs.size() > 1)
+    std::swap(segs.front(), segs.back());
+  return segs;
+}
+
+void expect_same_plan(const TwoPhasePlan& got, const TwoPhasePlan& want) {
+  ASSERT_EQ(got.aggs.size(), want.aggs.size());
+  for (std::size_t a = 0; a < want.aggs.size(); ++a) {
+    SCOPED_TRACE("aggregator " + std::to_string(a));
+    EXPECT_EQ(got.aggs[a].node, want.aggs[a].node);
+    EXPECT_EQ(got.aggs[a].context, want.aggs[a].context);
+    EXPECT_EQ(got.aggs[a].segs, want.aggs[a].segs);
+    EXPECT_EQ(got.aggs[a].rmw, want.aggs[a].rmw);
+  }
+  ASSERT_EQ(got.messages.size(), want.messages.size());
+  for (std::size_t m = 0; m < want.messages.size(); ++m) {
+    SCOPED_TRACE("message " + std::to_string(m));
+    EXPECT_EQ(got.messages[m].rank_node, want.messages[m].rank_node);
+    EXPECT_EQ(got.messages[m].agg_node, want.messages[m].agg_node);
+    EXPECT_EQ(got.messages[m].request_bytes, want.messages[m].request_bytes);
+    EXPECT_EQ(got.messages[m].payload_bytes, want.messages[m].payload_bytes);
+  }
+  EXPECT_EQ(got.shuffle_bytes, want.shuffle_bytes);
+}
+
+TEST(TwoPhasePlanner, MatchesTheMapAndSortOracleOnRandomRounds) {
+  // plan_two_phase (ordered visit, dense traffic table, coalesce-on-place)
+  // against the frozen map-and-sort planner: same aggregator lists, RMW
+  // flags, message list in order, and shuffle volume.
+  sim::Rng rng(0x2face);
+  for (int trial = 0; trial < 600; ++trial) {
+    const int layout = static_cast<int>(rng.uniform(4));
+    const std::uint32_t nprocs = static_cast<std::uint32_t>(rng.uniform_between(1, 48));
+    // Uneven ranks per node: a few sparse node ids, picked with skew.
+    const std::uint32_t node_pool = static_cast<std::uint32_t>(rng.uniform_between(1, 9));
+    const std::uint64_t base = rng.chance(0.2) ? 1ull << 40 : rng.uniform(1 << 16);
+    std::vector<std::vector<pfs::Segment>> segs;
+    std::vector<TwoPhaseRank> ranks;
+    segs.reserve(nprocs);
+    for (std::uint32_t r = 0; r < nprocs; ++r) {
+      if (rng.chance(0.15)) continue;  // already finished: not in the round
+      const auto pick = std::min(rng.uniform(node_pool), rng.uniform(node_pool));
+      const net::NodeId node = static_cast<net::NodeId>(3 * pick + 1);
+      segs.push_back(random_rank_segments(rng, layout, r, base));
+      ranks.push_back({node, 1000 + r, &segs.back()});
+    }
+    // Arrival order is not rank order.
+    for (std::size_t i = ranks.size(); i > 1; --i)
+      std::swap(ranks[i - 1], ranks[rng.uniform(i)]);
+
+    CollectiveParams params;
+    params.max_aggregators = static_cast<std::uint32_t>(rng.uniform(4));
+    params.write_sieving = rng.chance(0.5);
+    if (rng.chance(0.3)) params.sieve_buffer = rng.uniform_between(1, 1 << 16);
+    if (rng.chance(0.3)) params.sieve_min_density = rng.uniform01();
+    const bool is_write = rng.chance(0.5);
+
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_same_plan(plan_two_phase(ranks, is_write, params),
+                     reference::plan_two_phase(ranks, is_write, params));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(TwoPhasePlanner, EmptyRoundPlansNothing) {
+  const std::vector<pfs::Segment> none, zero = {{4096, 0}};
+  const std::vector<TwoPhaseRank> ranks = {{0, 0, &none}, {1, 1, &zero}};
+  const TwoPhasePlan plan = plan_two_phase(ranks, /*is_write=*/false, {});
+  EXPECT_TRUE(plan.aggs.empty());
+  EXPECT_TRUE(plan.messages.empty());
+  EXPECT_EQ(plan.shuffle_bytes, 0u);
 }
 
 }  // namespace
