@@ -61,7 +61,7 @@ bench::ExperimentStats run_one(bench::Variant v, const fault::FaultPlan& plan,
   st.value = tb.job_throughput_mbs(job);
   double retries = 0, failures = 0;
   if (const auto* inj = tb.fault_injector()) {
-    const fault::Counters c = inj->total();
+    const fault::Counters c = inj->counters();
     retries = static_cast<double>(c.client_retries);
     failures = static_cast<double>(c.client_failures);
   }
@@ -84,14 +84,8 @@ int main(int argc, char** argv) {
   const std::uint64_t scale = bench::scale_divisor(argc, argv);
   std::printf("Fault sweep (DualPar vs vanilla under injected faults, "
               "scale 1/%llu)\n", static_cast<unsigned long long>(scale));
-  // Engine-mode banner so bench rows are attributable to a worker count; the
-  // CI 1-vs-4 byte-diff filters this line out before comparing.
-  const unsigned pdes_workers = harness::pdes_workers_from_env();
-  std::printf("# engine: %s (DPAR_PDES_WORKERS=%u)\n",
-              pdes_workers >= 1 ? "pdes" : "serial", pdes_workers);
-  // Plan banner: seed and replication factor are pure config — identical at
-  // every worker count — so the CI byte-diff (which strips only the engine
-  // line) keeps this one in the comparison on purpose.
+  // Plan banner: seed and replication factor are pure config, identical at
+  // every DPAR_JOBS value.
   std::printf("# plan: seed=0x%llx rf=%u\n",
               static_cast<unsigned long long>(fault::FaultPlan{}.seed),
               bench::paper_config().replica.replication_factor);

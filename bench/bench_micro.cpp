@@ -14,7 +14,6 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -172,8 +171,7 @@ void BM_EventQueueSweep(benchmark::State& state, sim::QueueKind kind) {
   constexpr int kRounds = 64;
   constexpr int kChurn = 512;
   for (auto _ : state) {
-    sim::Engine eng;
-    eng.set_queue_kind(kind);
+    sim::Engine eng(kind);
     sim::Rng rng(41);
     const auto timeout = [&rng]() -> sim::Time {
       return sim::msec(1) + static_cast<sim::Time>(rng.uniform(sim::msec(50)));
@@ -208,8 +206,7 @@ void BM_EventQueueTimerChurn(benchmark::State& state, sim::QueueKind kind) {
   constexpr int kTimers = 4096;
   constexpr std::uint64_t kBudget = 1 << 16;
   for (auto _ : state) {
-    sim::Engine eng;
-    eng.set_queue_kind(kind);
+    sim::Engine eng(kind);
     std::uint64_t fired = 0;
     std::function<void(sim::Time)> arm = [&](sim::Time period) {
       eng.after(period, [&arm, &fired, period] {
@@ -510,104 +507,6 @@ void BM_EndToEndMpiIoTest(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndMpiIoTest)->Unit(benchmark::kMillisecond);
 
-// Cost of one cross-lane event handoff through the conservative-PDES outbox
-// channel: two lanes ping-pong a message at exactly the lookahead distance,
-// so every event is a cross-lane post plus a window barrier.
-void BM_LpChannelHandoff(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Engine eng;
-    const sim::LaneId a = eng.add_lane();
-    const sim::LaneId b = eng.add_lane();
-    eng.set_lookahead(sim::usec(50));
-    eng.set_pdes_workers(1);
-    int hops = 0;
-    std::function<void(sim::LaneId, sim::LaneId)> hop = [&](sim::LaneId cur,
-                                                            sim::LaneId nxt) {
-      if (++hops >= 1000) return;
-      eng.after_in(nxt, sim::usec(50), [&hop, nxt, cur] { hop(nxt, cur); });
-    };
-    eng.at_in(a, 0, [&hop, a, b] { hop(a, b); });
-    eng.run();
-    benchmark::DoNotOptimize(hops);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_LpChannelHandoff);
-
-// Window-barrier outbox drain at high lane counts: 256 lanes each fan out
-// kFan cross-lane posts per window, so every barrier merges 256 non-empty
-// per-(source,target) queues. Exercises the batched queue drain (one bulk
-// heap insert per touched pair) that replaces the per-event sift — the
-// structure that dominates barrier cost at 256+ lanes.
-void BM_LaneOutboxDrain(benchmark::State& state) {
-  constexpr int kLanes = 256;
-  constexpr int kRounds = 40;
-  constexpr int kFan = 8;
-  for (auto _ : state) {
-    sim::Engine eng;
-    std::vector<sim::LaneId> lanes;
-    for (int i = 0; i < kLanes; ++i) lanes.push_back(eng.add_lane());
-    eng.set_lookahead(sim::usec(50));
-    eng.set_pdes_workers(1);
-    int rounds = 0;
-    std::function<void(int)> round = [&](int src) {
-      // Every lane posts kFan events into its neighbour's heap; one of them
-      // continues the chain so each window re-fills the outboxes.
-      if (++rounds > kRounds * kLanes) return;
-      const int nxt = (src + 1) % kLanes;
-      for (int f = 0; f < kFan - 1; ++f)
-        eng.after_in(lanes[nxt], sim::usec(50), [] {});
-      eng.after_in(lanes[nxt], sim::usec(50), [&round, nxt] { round(nxt); });
-    };
-    eng.at_in(lanes[0], 0, [&round] { round(0); });
-    eng.run();
-    benchmark::DoNotOptimize(rounds);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kLanes) *
-                          kRounds * kFan);
-}
-BENCHMARK(BM_LaneOutboxDrain);
-
-// Fig-4-at-256-procs wall time swept over PDES worker counts. Simulated
-// output is byte-identical at every worker count; only the wall time moves.
-// perf_smoke gates workers=4 vs workers=1 when the host has >= 4 hardware
-// threads (see the PdesSweep/hw_threads entry appended in main).
-void BM_PdesSweep(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  std::uint64_t last_events = 0;
-  for (auto _ : state) {
-    harness::TestbedConfig cfg = bench::paper_config();
-    cfg.pdes_workers = workers;
-    harness::Testbed tb(cfg);
-    // The fig4 shape (3 concurrent BTIO instances, 256 procs, 40 B vanilla
-    // requests), data volume scaled for a micro-bench iteration.
-    const std::uint64_t per_instance = (6800ull << 20) / 1024 / 16;
-    for (std::uint32_t i = 0; i < 3; ++i) {
-      wl::BtioConfig bc;
-      bc.total_bytes = per_instance;
-      bc.write_steps = 10;
-      bc.read_back = true;
-      bc.file = tb.create_file("btio" + std::to_string(i), bc.total_bytes * 2);
-      tb.add_job("btio" + std::to_string(i), 256, tb.vanilla(),
-                 [bc](std::uint32_t) { return wl::make_btio(bc); },
-                 dualpar::Policy::kForcedNormal);
-    }
-    last_events = tb.run();
-    state.counters["events"] = static_cast<double>(last_events);
-  }
-  // The event count is deterministic across iterations and worker counts,
-  // so items/sec is engine events per wall second — the rate perf_smoke
-  // compares across worker counts.
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(last_events));
-}
-// UseRealTime: the worker pool spreads the same work over more threads, so
-// the speedup only shows up in wall time — CPU-time rates would cancel it.
-BENCHMARK(BM_PdesSweep)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // Repair-pipeline micro: a server crash invalidates every copy it hosts, and
 // after the restart the repair manager re-copies them from surviving replicas
 // through the foreground disk schedulers and NIC paths. The repair byte count
@@ -631,7 +530,7 @@ void BM_RepairThroughput(benchmark::State& state) {
                [dc](std::uint32_t) { return wl::make_demo(dc); },
                dualpar::Policy::kForcedNormal);
     tb.run();
-    last_bytes = tb.replica_manager()->total().repair_bytes_copied;
+    last_bytes = tb.replica_manager()->counters().repair_bytes_copied;
     state.counters["repair_bytes"] = static_cast<double>(last_bytes);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -710,18 +609,7 @@ int main(int argc, char** argv) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_start)
           .count();
-  if (!reporter.entries().empty()) {
-    std::vector<metrics::PerfEntry> entries = reporter.entries();
-    // The PDES sweep's speedup gate is only meaningful on hardware with
-    // enough cores; record the host's parallelism next to the timings so
-    // perf_smoke can decide whether to gate or just track.
-    metrics::PerfEntry hw;
-    hw.label = "PdesSweep/hw_threads";
-    hw.value = static_cast<double>(std::thread::hardware_concurrency());
-    hw.events = 0;
-    hw.wall_s = 0;
-    entries.push_back(std::move(hw));
-    bench::write_perf_json("bench_micro", entries, wall_s, 1);
-  }
+  if (!reporter.entries().empty())
+    bench::write_perf_json("bench_micro", reporter.entries(), wall_s, 1);
   return 0;
 }

@@ -130,13 +130,7 @@ int main(int argc, char** argv) {
   const std::uint64_t scale = bench::scale_divisor(argc, argv);
   std::printf("Replication sweep (N-way chunks, degraded reads, repair; "
               "scale 1/%llu)\n", static_cast<unsigned long long>(scale));
-  // Engine-mode banner so bench rows are attributable to a worker count; the
-  // CI 1-vs-4 byte-diff filters this line out before comparing.
-  const unsigned pdes_workers = harness::pdes_workers_from_env();
-  std::printf("# engine: %s (DPAR_PDES_WORKERS=%u)\n",
-              pdes_workers >= 1 ? "pdes" : "serial", pdes_workers);
-  // Plan banner: pure config (identical at every worker count), so the
-  // byte-diff keeps it in the comparison on purpose.
+  // Plan banner: pure config, identical at every DPAR_JOBS value.
   std::printf("# plan: seed=0x%llx crash=server4@30-480ms\n",
               static_cast<unsigned long long>(fault::FaultPlan{}.seed));
 

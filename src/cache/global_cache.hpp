@@ -19,7 +19,6 @@
 #include "pfs/layout.hpp"
 #include "sim/engine.hpp"
 #include "sim/func.hpp"
-#include "sim/lane_annotations.hpp"
 #include "sim/rng.hpp"
 
 namespace dpar::cache {
@@ -107,12 +106,12 @@ class GlobalCache {
   /// off that server's disk and can no longer be trusted against it; dirty
   /// ranges are application-sourced and are retained for write-back. Returns
   /// the invalidated byte count.
-  DPAR_EXCLUSIVE_LANE std::uint64_t invalidate_server(
-      const pfs::StripeLayout& layout, std::uint32_t server);
+  std::uint64_t invalidate_server(const pfs::StripeLayout& layout,
+                                  std::uint32_t server);
 
   /// Drop chunks not referenced since `now - idle_eviction` (dirty chunks are
   /// retained). Returns evicted byte count.
-  DPAR_EXCLUSIVE_LANE std::uint64_t evict_idle(sim::Time now);
+  std::uint64_t evict_idle(sim::Time now);
   /// Drop every clean chunk owned by `owner` (cycle turnover).
   void drop_clean(std::uint64_t owner);
 

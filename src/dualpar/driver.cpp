@@ -78,9 +78,6 @@ void DualParDriver::serve_from_cache(mpi::Process& proc, const mpi::IoCall& call
   stats_.cache_hit_bytes += call.total_bytes();
   for (const auto& s : call.segments) cache_.reference(call.file, s);
   if (call.segments.empty()) {
-    // Zero-segment completion bounces through the caller's own lane; DualPar
-    // jobs never split onto per-node lanes, so this cannot cross an LP.
-    // dpar-lint: allow(pdes-lane-channel)
     env_.fs.engine().after(0, std::move(done));
     return;
   }
@@ -153,8 +150,6 @@ void DualParDriver::write_path(mpi::Process& proc, const mpi::IoCall& call,
         }
       });
   if (call.segments.empty()) {
-    // Same-lane bounce (see serve_from_cache): no cross-LP hop possible.
-    // dpar-lint: allow(pdes-lane-channel)
     env_.fs.engine().after(0, [fan] { fan->complete(); });
     return;
   }
@@ -184,9 +179,6 @@ void DualParDriver::arm_deadline(mpi::Job& job, mpi::Process& proc) {
   sim::Time t = sim::from_seconds(static_cast<double>(params_.cache_quota) / bw *
                                   params_.preexec_deadline_slack);
   t = std::clamp(t, params_.preexec_deadline_min, params_.preexec_deadline_max);
-  // The pre-execution deadline timer arms and fires in the lane running
-  // the DualPar scheduler; DualPar jobs are never lane-split.
-  // dpar-lint: allow(pdes-lane-channel)
   st.deadline = env_.fs.engine().after(t, [this, &job] {
     JobState& jst = state_for(job);
     jst.deadline = {};
@@ -288,8 +280,6 @@ void issue_batch(mpiio::IoEnv& env, cache::GlobalCache& cache, pfs::FileId file,
     }
   }
   if (per_home.empty()) {
-    // Empty-transfer completion in the caller's own lane (see above).
-    // dpar-lint: allow(pdes-lane-channel)
     env.fs.engine().after(0, [done = std::move(done)]() mutable {
       done(fault::Status::kOk);
     });

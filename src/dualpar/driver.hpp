@@ -56,11 +56,6 @@ class DualParDriver : public mpiio::VanillaDriver {
   void on_barrier_enter(mpi::Process& proc) override;
   void on_process_end(mpi::Process& proc) override;
 
-  /// Every rank's I/O path mutates job-global state (the PEC pending list,
-  /// ghost map, dirty accounting, stats, the global cache), so ranks must
-  /// share one lane; a job using this driver never splits per compute node.
-  bool lane_splittable() const override { return false; }
-
   std::string name() const override { return "dualpar"; }
   const DriverStats& stats() const { return stats_; }
 

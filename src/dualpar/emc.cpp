@@ -10,11 +10,7 @@
 namespace dpar::dualpar {
 
 Emc::Emc(sim::Engine& eng, Params params, std::vector<pfs::DataServer*> servers)
-    : eng_(eng), params_(params), servers_(std::move(servers)), obs_shards_(1) {}
-
-void Emc::set_lane_count(std::uint32_t lanes) {
-  if (lanes > obs_shards_.size()) obs_shards_.resize(lanes);
-}
+    : eng_(eng), params_(params), servers_(std::move(servers)) {}
 
 Emc::JobEntry* Emc::find_job(std::uint32_t job_id) {
   if (job_id >= slot_of_.size() || slot_of_[job_id] == 0) return nullptr;
@@ -157,15 +153,9 @@ Emc::OffsetSpan& Emc::span_of(FileSpans& spans, pfs::FileId file) {
 
 void Emc::observe(std::uint32_t job_id, pfs::FileId file,
                   const std::vector<pfs::Segment>& segments, sim::Time) {
-  // Called from the issuing rank's lane, possibly inside a parallel window:
-  // only the lane's own shard is touched here. The job table is folded into
-  // at tick time, on the exclusive lane.
-  // Jobs register at setup, before any lane runs: the lookup is read-only.
-  if (segments.empty() || find_job(job_id) == nullptr) return;
-  const sim::LaneId l = eng_.current_lane();
-  auto& shard = obs_shards_[l < obs_shards_.size() ? l : 0];
-  if (shard.size() <= job_id) shard.resize(job_id + 1);
-  OffsetSpan& span = span_of(shard[job_id], file);
+  JobEntry* e = find_job(job_id);
+  if (segments.empty() || e == nullptr) return;
+  OffsetSpan& span = span_of(e->slot_spans, file);
   for (const pfs::Segment& s : segments) {
     span.lo = std::min(span.lo, s.offset);
     span.hi = std::max(span.hi, s.offset);
@@ -173,28 +163,10 @@ void Emc::observe(std::uint32_t job_id, pfs::FileId file,
   span.n += segments.size();
 }
 
-void Emc::flush_observations_() {
-  // Min, max and count merge commutatively, so the shard order is free.
-  for (auto& shard : obs_shards_) {
-    for (std::uint32_t id = 0; id < shard.size(); ++id) {
-      JobEntry* e = find_job(id);
-      for (auto& [file, obs] : shard[id]) {
-        if (obs.n == 0) continue;
-        if (e != nullptr) span_of(e->slot_spans, file).merge(obs);
-        obs = OffsetSpan{};
-      }
-    }
-  }
-}
-
 void Emc::start() {
   if (ticking_) return;
   ticking_ = true;
-  // The EMC tick reads every server's trace and every job's progress, so on
-  // a partitioned engine it must run on the exclusive lane: all lanes are
-  // quiescent at the tick's timestamp. (exclusive_lane() is 0 — plain
-  // lane-0 scheduling — when the engine is unpartitioned.)
-  eng_.after_in(eng_.exclusive_lane(), params_.emc_slot, [this] {
+  eng_.after(params_.emc_slot, [this] {
     ticking_ = false;
     tick();
     // Keep evaluating while any registered job is live.
@@ -207,7 +179,6 @@ void Emc::start() {
 
 void Emc::tick() {
   const sim::Time now = eng_.now();
-  flush_observations_();
 
   // Server-side: mean seek distance of the last completed slot, in bytes.
   double seek_sum = 0.0;

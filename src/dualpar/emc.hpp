@@ -24,7 +24,6 @@
 #include "mpiio/env.hpp"
 #include "pfs/server.hpp"
 #include "sim/engine.hpp"
-#include "sim/lane_annotations.hpp"
 #include "sim/stats.hpp"
 
 namespace dpar::dualpar {
@@ -50,9 +49,8 @@ class Emc : public mpiio::RequestObserver {
   void report_io_error();
   void report_io_ok();
   /// Fault-injector listener: any data server down forces normal mode for
-  /// every job until it restarts. Runs on the exclusive lane (crash and
-  /// restart events are pinned there).
-  DPAR_EXCLUSIVE_LANE void note_server_state(std::uint32_t server, bool down);
+  /// every job until it restarts.
+  void note_server_state(std::uint32_t server, bool down);
   /// True while EMC is forcing vanilla execution because of faults.
   bool degraded() const { return degraded_; }
   double error_ewma() const { return error_ewma_; }
@@ -60,22 +58,15 @@ class Emc : public mpiio::RequestObserver {
   void set_fault_injector(fault::FaultInjector* inj) { injector_ = inj; }
 
   /// ADIO request observation (client side, feeds ReqDist). Hot path: the
-  /// call folds into the calling lane's shard as per-(job, file) offset
-  /// extremes and counts; tick() merges the shards with every lane
-  /// quiescent. Min, max and sum commute, so the fold order never changes
-  /// the result.
-  DPAR_CROSS_LANE_API void observe(std::uint32_t job_id, pfs::FileId file,
+  /// call folds into the job's per-file offset extremes and counts for the
+  /// current slot; tick() consumes and resets them.
+  void observe(std::uint32_t job_id, pfs::FileId file,
                const std::vector<pfs::Segment>& segments, sim::Time now) override;
-
-  /// Size the per-lane observation shards for a partitioned engine. Called
-  /// at testbed finalize; unpartitioned engines keep the single shard.
-  void set_lane_count(std::uint32_t lanes);
 
   /// Begin periodic evaluation (re-arms itself while any job is live).
   void start();
-  /// One evaluation step (also callable directly from tests, which drive
-  /// an unpartitioned engine — every lane quiescent either way).
-  DPAR_EXCLUSIVE_LANE void tick();
+  /// One evaluation step (also callable directly from tests).
+  void tick();
 
   /// Debug invariant layer: verifies the id -> slot side table agrees with
   /// the flat, id-sorted job vector. Aborts via DPAR_ASSERT on violation.
@@ -98,11 +89,6 @@ class Emc : public mpiio::RequestObserver {
     std::uint64_t lo = UINT64_MAX;
     std::uint64_t hi = 0;
     std::uint64_t n = 0;
-    void merge(const OffsetSpan& o) {
-      lo = std::min(lo, o.lo);
-      hi = std::max(hi, o.hi);
-      n += o.n;
-    }
   };
   /// FileId-sorted flat vector (binary-search insert). Spans are reset, not
   /// erased, between slots, so a steady file set never reallocates.
@@ -120,7 +106,7 @@ class Emc : public mpiio::RequestObserver {
     sim::Time prev_io = 0;
     sim::Time prev_compute = 0;
     double io_ratio = 0.0;
-    // Request offsets of the current slot, folded from the lane shards.
+    // Request offsets observed in the current slot.
     FileSpans slot_spans;
     sim::TimeSeries mode_series;
     // Switch damping.
@@ -129,7 +115,6 @@ class Emc : public mpiio::RequestObserver {
   };
 
   void update_degraded();
-  DPAR_EXCLUSIVE_LANE void flush_observations_();
   JobEntry* find_job(std::uint32_t job_id);
   const JobEntry* find_job(std::uint32_t job_id) const;
 
@@ -142,22 +127,17 @@ class Emc : public mpiio::RequestObserver {
   // side table for O(1) lookup on the per-op paths (observe, mode).
   std::vector<JobEntry> entries_;
   std::vector<std::uint32_t> slot_of_;  ///< job id -> entries_ index + 1; 0 = absent
-  /// One observation accumulator per lane, indexed by job id: observe()
-  /// only ever touches the calling lane's shard, so no routing is needed on
-  /// the per-op hot path. State is O(jobs x files) per shard, independent of
-  /// the request count.
-  DPAR_LANE_SAFE std::vector<std::vector<FileSpans>> obs_shards_;
   fault::FaultInjector* injector_ = nullptr;
-  DPAR_EXCLUSIVE_LANE std::uint32_t servers_down_ = 0;
+  std::uint32_t servers_down_ = 0;
   double error_ewma_ = 0.0;
   bool degraded_ = false;
   bool ticking_ = false;
-  // Fold state: written only by tick() with every lane quiescent.
-  DPAR_EXCLUSIVE_LANE double last_seek_ = 0.0;
-  DPAR_EXCLUSIVE_LANE double last_req_ = 0.0;
-  DPAR_EXCLUSIVE_LANE double last_ratio_ = 0.0;
-  DPAR_EXCLUSIVE_LANE std::uint64_t switches_ = 0;
-  DPAR_EXCLUSIVE_LANE sim::TimeSeries seek_series_;
+  // Fold state: written only by tick().
+  double last_seek_ = 0.0;
+  double last_req_ = 0.0;
+  double last_ratio_ = 0.0;
+  std::uint64_t switches_ = 0;
+  sim::TimeSeries seek_series_;
 };
 
 }  // namespace dpar::dualpar

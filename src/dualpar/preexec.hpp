@@ -41,11 +41,6 @@ class PreexecDriver : public mpiio::VanillaDriver {
   void io(mpi::Process& proc, const mpi::IoCall& call,
           sim::UniqueFunction done) override;
 
-  /// The prefetcher mutates driver-global state (per-process state table,
-  /// stats, the shared cache) from every rank's I/O path, so ranks must
-  /// share one lane; a job using this driver never splits per compute node.
-  bool lane_splittable() const override { return false; }
-
   std::string name() const override { return "preexec-prefetch"; }
   const PreexecStats& stats() const { return stats_; }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/engine.hpp"
-
 namespace dpar::fault {
 
 namespace {
@@ -25,11 +23,9 @@ std::vector<sim::Rng> make_streams(std::uint64_t seed, std::uint64_t tag,
 }
 }  // namespace
 
-FaultInjector::FaultInjector(sim::Engine& eng, FaultPlan plan,
-                             std::uint32_t num_servers, std::uint32_t num_nodes)
-    : eng_(eng),
-      plan_(std::move(plan)),
-      shards_(1),
+FaultInjector::FaultInjector(FaultPlan plan, std::uint32_t num_servers,
+                             std::uint32_t num_nodes)
+    : plan_(std::move(plan)),
       disk_rngs_(make_streams(plan_.seed, kDiskTag, num_servers)),
       server_rngs_(make_streams(plan_.seed, kServerTag, num_servers)),
       net_rngs_(make_streams(plan_.seed, kNetTag,
@@ -43,46 +39,6 @@ FaultInjector::FaultInjector(sim::Engine& eng, FaultPlan plan,
     if (b.server != kAllServers && b.server >= num_servers)
       throw std::invalid_argument(
           "FaultPlan: bad-sector range names a server that does not exist");
-}
-
-Counters& FaultInjector::counters() {
-  const sim::LaneId l = eng_.current_lane();
-  return shards_[l < shards_.size() ? l : 0];
-}
-
-void FaultInjector::set_lane_count(std::uint32_t lanes) {
-  if (lanes > shards_.size()) shards_.resize(lanes);
-}
-
-Counters FaultInjector::total() const {
-  Counters t;
-  for (const Counters& c : shards_) {
-    t.disk_media_errors += c.disk_media_errors;
-    t.disk_bad_sector_hits += c.disk_bad_sector_hits;
-    t.disk_stalls += c.disk_stalls;
-    t.net_dropped += c.net_dropped;
-    t.net_partition_drops += c.net_partition_drops;
-    t.net_delayed += c.net_delayed;
-    t.server_crashes += c.server_crashes;
-    t.server_restarts += c.server_restarts;
-    t.server_refused_requests += c.server_refused_requests;
-    t.server_lost_completions += c.server_lost_completions;
-    t.server_stalls += c.server_stalls;
-    t.client_ops_started += c.client_ops_started;
-    t.client_ops_finished += c.client_ops_finished;
-    t.client_timeouts += c.client_timeouts;
-    t.client_retries += c.client_retries;
-    t.client_recoveries += c.client_recoveries;
-    t.client_failures += c.client_failures;
-    t.client_permanent_failures += c.client_permanent_failures;
-    t.client_stale_replies += c.client_stale_replies;
-    t.driver_io_errors += c.driver_io_errors;
-    t.dualpar_aborted_batches += c.dualpar_aborted_batches;
-    t.cache_invalidated_bytes += c.cache_invalidated_bytes;
-    t.emc_degraded_entries += c.emc_degraded_entries;
-    t.emc_degraded_exits += c.emc_degraded_exits;
-  }
-  return t;
 }
 
 FaultInjector::DiskVerdict FaultInjector::disk_verdict(std::uint32_t server,

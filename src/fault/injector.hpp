@@ -5,17 +5,13 @@
 // "fault-free" and keeps each layer on its original fast path. Probabilistic
 // decisions draw from one RNG stream per (layer, locality) — per-server disk
 // and server streams, per-sender-node network streams — all derived from the
-// plan seed with splitmix64. Each stream is consumed from exactly one PDES
-// lane in that lane's deterministic event order, so the whole fault history
-// is a pure function of (seed, plan) at every DPAR_PDES_WORKERS value,
-// including the unpartitioned engine.
+// plan seed with splitmix64, so enabling faults in one layer (or adding a
+// server or node) never perturbs another stream's draws. The whole fault
+// history is a pure function of (seed, plan).
 //
 // The injector is also the run's fault ledger: every layer bumps Counters.
-// The ledger is sharded per lane (counters() returns the calling lane's
-// shard; total() folds the shards), so concurrent lanes never contend.
 // Server up/down transitions fan out to registered listeners (EMC
-// degradation, cache invalidation) from here; they must run on the
-// exclusive lane, which sees every lane quiescent.
+// degradation, cache invalidation) from here.
 #pragma once
 
 #include <cstdint>
@@ -24,13 +20,8 @@
 
 #include "fault/plan.hpp"
 #include "fault/status.hpp"
-#include "sim/lane_annotations.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
-
-namespace dpar::sim {
-class Engine;
-}
 
 namespace dpar::fault {
 
@@ -73,21 +64,17 @@ class FaultInjector {
   /// `num_servers` bounds crash entries and sizes the down-state table and
   /// the per-server RNG streams; `num_nodes` sizes the per-sender network
   /// streams (0 falls back to `num_servers`, enough for server-only tests).
-  FaultInjector(sim::Engine& eng, FaultPlan plan, std::uint32_t num_servers,
+  FaultInjector(FaultPlan plan, std::uint32_t num_servers,
                 std::uint32_t num_nodes = 0);
 
   const FaultPlan& plan() const { return plan_; }
 
-  /// The calling lane's counter shard. Hot bump sites use this; aggregate
-  /// readers must use total() — there is deliberately no const overload, so
-  /// a read through a const injector fails to compile instead of silently
-  /// seeing one shard.
-  Counters& counters();
-  /// Sum of every lane's shard — the run's complete ledger.
-  Counters total() const;
-  /// Size the shard table for a partitioned engine (one shard per lane).
-  /// Counts already recorded stay in shard 0. Called at testbed finalize.
-  void set_lane_count(std::uint32_t lanes);
+  /// The run's fault ledger.
+  Counters& counters() { return counters_; }
+  const Counters& counters() const { return counters_; }
+  /// Same ledger as counters(); dpar_bench/dpar_bench.cpp reads it by this
+  /// name.
+  const Counters& total() const { return counters_; }
 
   // ---- Disk hooks (DiskDevice dispatch path) ----
   struct DiskVerdict {
@@ -107,9 +94,7 @@ class FaultInjector {
   /// Extra service CPU for one request of `server` (0 most of the time).
   sim::Time server_stall(std::uint32_t server);
   /// Called by DataServer::crash()/restart(); fans out to listeners.
-  /// Crash/restart events are pinned to the exclusive lane, so the fan-out
-  /// (and every listener) runs with all lanes quiescent.
-  DPAR_EXCLUSIVE_LANE void note_server_state(std::uint32_t server, bool down);
+  void note_server_state(std::uint32_t server, bool down);
   bool server_down(std::uint32_t server) const {
     return server < down_.size() && down_[server];
   }
@@ -124,7 +109,7 @@ class FaultInjector {
   /// invalidation). Registered once at testbed assembly; called in
   /// registration order.
   using ServerStateListener = std::function<void(std::uint32_t server, bool down)>;
-  DPAR_EXCLUSIVE_LANE void add_server_listener(ServerStateListener l) {
+  void add_server_listener(ServerStateListener l) {
     listeners_.push_back(std::move(l));
   }
 
@@ -136,20 +121,17 @@ class FaultInjector {
   std::uint32_t max_retries() const { return plan_.retry.max_retries; }
 
  private:
-  sim::Engine& eng_;
   FaultPlan plan_;
-  /// Per-lane counter shards; shards_[0] doubles as the unpartitioned shard.
-  DPAR_LANE_SAFE std::vector<Counters> shards_;
-  /// Per-server streams, consumed from the server's lane only.
-  DPAR_LANE_SAFE std::vector<sim::Rng> disk_rngs_;
-  DPAR_LANE_SAFE std::vector<sim::Rng> server_rngs_;
-  /// Per-sender-node streams, consumed from the sender's lane only.
-  DPAR_LANE_SAFE std::vector<sim::Rng> net_rngs_;
-  // Server up/down state: flipped only by the exclusive-lane crash/restart
-  // events (read freely — every lane sees a quiescent-consistent value).
-  DPAR_EXCLUSIVE_LANE std::vector<bool> down_;
-  DPAR_EXCLUSIVE_LANE std::uint32_t servers_down_ = 0;
-  DPAR_EXCLUSIVE_LANE std::vector<ServerStateListener> listeners_;
+  Counters counters_;
+  /// Per-server streams.
+  std::vector<sim::Rng> disk_rngs_;
+  std::vector<sim::Rng> server_rngs_;
+  /// Per-sender-node streams.
+  std::vector<sim::Rng> net_rngs_;
+  /// Server up/down state, flipped by the plan's crash/restart events.
+  std::vector<bool> down_;
+  std::uint32_t servers_down_ = 0;
+  std::vector<ServerStateListener> listeners_;
 };
 
 }  // namespace dpar::fault

@@ -1,21 +1,10 @@
 #include "harness/testbed.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 namespace dpar::harness {
-
-unsigned pdes_workers_from_env() {
-  const char* s = std::getenv("DPAR_PDES_WORKERS");
-  if (s == nullptr || *s == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0 || v > 1024)
-    throw std::invalid_argument(
-        "DPAR_PDES_WORKERS must be an integer in [0, 1024]");
-  return static_cast<unsigned>(v);
-}
 
 namespace {
 std::unique_ptr<disk::BlockDevice> make_device(sim::Engine& eng,
@@ -44,19 +33,10 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
                                 "to disable DualPar)");
   // Malformed fault plans are rejected loudly even when they could not fire.
   cfg_.fault.validate();
-  // Queue-kind selection must precede every schedule, so it happens before
-  // any subsystem below touches the engine.
-  eng_.set_queue_kind(cfg_.engine_queue);
   // Node layout: data servers on [0, S), metadata server on S, compute nodes
   // on [S+1, S+1+C).
   const std::uint32_t total_nodes = cfg_.data_servers + 1 + cfg_.compute_nodes;
   net_ = std::make_unique<net::Network>(eng_, total_nodes, cfg_.net);
-
-  // The conservative-PDES lane partition is decided in finalize_partition_()
-  // at the first run(), once every job (and hence every driver's
-  // lane-splittability) is known. Only the worker count resolves here.
-  pdes_workers_ = cfg_.pdes_workers >= 0 ? static_cast<unsigned>(cfg_.pdes_workers)
-                                         : pdes_workers_from_env();
 
   std::vector<pfs::DataServer*> raw_servers;
   for (std::uint32_t s = 0; s < cfg_.data_servers; ++s) {
@@ -78,9 +58,6 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
       eng_, *net_, /*metadata_node=*/cfg_.data_servers, raw_servers,
       pfs::StripeLayout{cfg_.stripe_unit, cfg_.data_servers});
   clients_ = std::make_unique<mpiio::ClientPool>(*fs_);
-  // Pre-warm one client per compute node: with per-node lanes, for_node must
-  // never mutate the pool's map from inside a parallel window.
-  for (const net::NodeId id : compute_node_ids) clients_->ensure(id);
   cache::CacheParams cp = cfg_.cache;
   cp.chunk_bytes = cfg_.stripe_unit;  // chunk == stripe unit (§IV-D)
   cache_ = std::make_unique<cache::GlobalCache>(eng_, *net_, compute_node_ids, cp);
@@ -95,17 +72,15 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
   preexec_ = std::make_unique<dualpar::PreexecDriver>(env, *cache_, cfg_.dualpar);
 
   if (cfg_.fault.enabled()) {
-    injector_ = std::make_unique<fault::FaultInjector>(eng_, cfg_.fault,
-                                                       cfg_.data_servers, total_nodes);
+    injector_ = std::make_unique<fault::FaultInjector>(cfg_.fault, cfg_.data_servers,
+                                                       total_nodes);
     net_->set_fault_injector(injector_.get());
     fs_->set_fault_injector(injector_.get());
     emc_->set_fault_injector(injector_.get());
     for (auto& s : servers_) s->set_fault_injector(injector_.get());
     // Server up/down transitions fan out from the injector: EMC degrades (or
     // re-engages) first, then the global cache drops every clean range that
-    // was sourced from the failed server's stripes. Crash/restart events run
-    // on the exclusive lane (finalize_partition_ schedules them), so the
-    // fan-out may touch any lane's state.
+    // was sourced from the failed server's stripes.
     injector_->add_server_listener([this](std::uint32_t server, bool down) {
       emc_->note_server_state(server, down);
       if (down) {
@@ -136,67 +111,17 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
   }
 }
 
-void Testbed::finalize_partition_() {
-  if (finalized_) return;
-  finalized_ = true;
-
-  // A run may split its compute side into per-node lanes only when every
-  // job's driver is rank-local (vanilla I/O) and no program exchanges
-  // point-to-point messages — the rendezvous queues, collective aggregation
-  // and ghost coordination are job-global state. The predicate depends only
-  // on the configuration and job set, never on the worker count, so eligible
-  // runs follow the split-lane coordination protocol (and its exact event
-  // timestamps) at every DPAR_PDES_WORKERS value, including 0. A pristine
-  // engine is also required: if the caller already drove the engine
-  // directly, jobs have started on the legacy schedule and lanes can no
-  // longer be added.
-  const bool pristine = eng_.events_fired() == 0 && eng_.now() == 0;
-  bool splittable = cfg_.net.switch_latency > 0 && pristine;
-  for (const auto& j : jobs_)
-    splittable = splittable && j->driver().lane_splittable() && !j->uses_p2p();
-
-  const bool lanes_on = pdes_workers_ >= 1 && cfg_.net.switch_latency > 0 && pristine;
-  if (lanes_on) {
-    const std::uint32_t total_nodes = cfg_.data_servers + 1 + cfg_.compute_nodes;
-    std::vector<sim::LaneId> node_lane(total_nodes, 0);
-    for (std::uint32_t s = 0; s < cfg_.data_servers; ++s)
-      node_lane[s] = eng_.add_lane();
-    if (splittable) {
-      for (std::uint32_t c = 0; c < cfg_.compute_nodes; ++c)
-        node_lane[cfg_.data_servers + 1 + c] = eng_.add_lane();
-    }
-    eng_.add_exclusive_lane();
-    eng_.set_lookahead(cfg_.net.switch_latency);
-    eng_.set_pdes_workers(pdes_workers_);
-    net_->set_node_lanes(std::move(node_lane));
-  }
-  if (injector_) injector_->set_lane_count(eng_.num_lanes());
-  if (replicas_) replicas_->set_lane_count(eng_.num_lanes());
-  emc_->set_lane_count(eng_.num_lanes());
-
-  // The crash/restart schedule is part of the plan: pin the events on the
-  // exclusive lane, whose events see every lane quiescent — the crash
-  // listener fan-out invalidates cache ranges and flips EMC degraded state.
+void Testbed::schedule_crashes_() {
+  if (crashes_scheduled_) return;
+  crashes_scheduled_ = true;
   for (const auto& c : cfg_.fault.server.crashes) {
     pfs::DataServer* srv = servers_[c.server].get();
-    eng_.at_in(eng_.exclusive_lane(), c.at, [srv] { srv->crash(); });
+    eng_.at(c.at, [srv] { srv->crash(); });
     // Fail-stop crashes never restart: scheduling an event at kNeverRestarts
     // would keep the queue alive forever.
     if (c.restart_at != fault::kNeverRestarts)
-      eng_.at_in(eng_.exclusive_lane(), c.restart_at, [srv] { srv->restart(); });
+      eng_.at(c.restart_at, [srv] { srv->restart(); });
   }
-
-  coordinated_ = splittable;
-  if (coordinated_) {
-    // Re-route every start through the split-lane protocol: drop the legacy
-    // lane-0 event and emit one batched start per compute node instead.
-    for (const PendingStart& ps : pending_starts_) {
-      eng_.cancel(ps.legacy_start);
-      ps.job->enable_lane_coordination(cfg_.net.switch_latency);
-      ps.job->start_lanes(std::max(ps.at, eng_.now()));
-    }
-  }
-  pending_starts_.clear();
 }
 
 Testbed::~Testbed() = default;
@@ -221,51 +146,40 @@ mpi::Job& Testbed::add_job(const std::string& name, std::uint32_t nprocs,
   next_gid_ += nprocs;
   emc_->register_job(job, policy);
   mpi::Job* jp = &job;
-  if (finalized_ && coordinated_) {
-    // Job added after the first run(): the partition chose the split-lane
-    // protocol, so the new job follows it too.
-    jp->enable_lane_coordination(cfg_.net.switch_latency);
-    jp->start_lanes(std::max(start_at, eng_.now()));
-    return job;
-  }
-  sim::EventId ev;
-  if (start_at <= eng_.now()) {
-    // Defer to an event so construction order never matters.
-    ev = eng_.after(0, [jp] { jp->start(); });
-  } else {
-    ev = eng_.at(start_at, [jp] { jp->start(); });
-  }
-  // Until the first run() decides the lane partition, the start may still be
-  // re-routed through the split-lane protocol (finalize_partition_ cancels
-  // the legacy event). Driving the engine directly instead of Testbed::run
-  // keeps this legacy schedule — introspection tests rely on it.
-  if (!finalized_) pending_starts_.push_back(PendingStart{&job, start_at, ev});
+  // Defer to an event so construction order never matters.
+  eng_.at(std::max(start_at, eng_.now()), [jp] { jp->start(); });
   return job;
 }
 
 std::uint64_t Testbed::run(std::uint64_t max_events) {
-  finalize_partition_();
+  schedule_crashes_();
   emc_->start();
   if (replicas_) replicas_->start();
   monitor_->start();
   // Periodic idle eviction ("a chunk will be evicted if it is not used for a
   // certain period of time", §IV-D); re-arms only while jobs live so the
-  // queue can drain. Runs on the exclusive lane: the cache holds chunks on
-  // every compute node, so eviction is cross-lane state by nature.
-  eng_.after_in(eng_.exclusive_lane(), cfg_.cache.idle_eviction / 2,
-                [this] { evict_tick_(); });
+  // queue can drain.
+  eng_.after(cfg_.cache.idle_eviction / 2, [this] { evict_tick_(); });
   const std::uint64_t fired = eng_.run(max_events);
-  if (!all_jobs_finished())
+  if (all_jobs_finished()) return fired;
+  if (eng_.empty())
     throw std::runtime_error("Testbed::run: event queue drained before all jobs "
                              "finished (deadlock?)");
-  return fired;
+  // The daemons re-arm while any job lives, so a stuck job never drains the
+  // queue: it runs into the cap instead.
+  const auto unfinished = std::count_if(jobs_.begin(), jobs_.end(),
+                                        [](const auto& j) { return !j->finished(); });
+  throw std::runtime_error(
+      "Testbed::run: event cap of " + std::to_string(max_events) +
+      " reached at simulated time " + std::to_string(sim::to_seconds(eng_.now())) +
+      " s with " + std::to_string(unfinished) + " of " + std::to_string(jobs_.size()) +
+      " jobs unfinished");
 }
 
 void Testbed::evict_tick_() {
   cache_->evict_idle(eng_.now());
   if (!all_jobs_finished())
-    eng_.after_in(eng_.exclusive_lane(), cfg_.cache.idle_eviction / 2,
-                  [this] { evict_tick_(); });
+    eng_.after(cfg_.cache.idle_eviction / 2, [this] { evict_tick_(); });
 }
 
 bool Testbed::all_jobs_finished() const {

@@ -58,30 +58,7 @@ struct TestbedConfig {
   /// no repair manager is created and the PFS keeps its pre-replication
   /// allocation and request paths byte-for-byte.
   replica::ReplicaConfig replica;
-  /// Conservative-PDES worker count. -1 (default) reads DPAR_PDES_WORKERS;
-  /// 0 keeps the serial single-heap engine; N >= 1 partitions the engine
-  /// into one lane per data server — plus, when every job's driver is
-  /// lane-splittable and no program uses point-to-point messaging, one lane
-  /// per compute node — plus an exclusive lane for EMC/monitor ticks,
-  /// executed by N workers with the fabric's switch latency as lookahead.
-  /// Output is byte-identical at every N by construction: split-eligible
-  /// runs use the same exclusive-lane job-coordination protocol at every
-  /// worker count (including 0), and fault plans shard their RNG streams
-  /// and counters per lane, so `fault.enabled()` no longer forces the
-  /// serial engine. Forced back to 0 only when switch_latency is 0 (no
-  /// lookahead).
-  int pdes_workers = -1;
-  /// Event-queue implementation for the engine (see sim/event_queue.hpp).
-  /// Defaults to DPAR_ENGINE_QUEUE (ladder when unset); set explicitly to
-  /// pin a run to one queue kind regardless of the environment — the
-  /// differential tests pin kHeap vs kLadder this way. Either kind yields
-  /// byte-identical simulation output; only wall-clock differs.
-  sim::QueueKind engine_queue = sim::queue_kind_from_env();
 };
-
-/// Parse DPAR_PDES_WORKERS (see TestbedConfig::pdes_workers). Unset or
-/// empty = 0. Throws std::invalid_argument on garbage.
-unsigned pdes_workers_from_env();
 
 class Testbed {
  public:
@@ -125,7 +102,9 @@ class Testbed {
                     sim::Time start_at = 0);
 
   /// Run to completion of all jobs (drains the event queue).
-  /// Returns the number of events fired.
+  /// Returns the number of events fired. Throws std::runtime_error when a
+  /// job is left unfinished: either the queue drained with ranks still
+  /// blocked, or `max_events` fired first (the message says which).
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
 
   bool all_jobs_finished() const;
@@ -138,13 +117,12 @@ class Testbed {
   double total_io_time_s() const;
 
  private:
-  /// Decide the lane partition once every job is known, create the lanes,
-  /// and schedule the deferred work (job starts, fault crash/restart events,
-  /// injector/EMC shard sizing). Called from the first run(); idempotent.
-  void finalize_partition_();
+  /// Schedule the fault plan's crash/restart events. Called from the first
+  /// run(), after every add_job of the setup has scheduled its start.
+  void schedule_crashes_();
 
-  /// One idle-eviction sweep on the exclusive lane; re-arms itself while
-  /// jobs live so the event queue can drain at the end of the run.
+  /// One idle-eviction sweep; re-arms itself while jobs live so the event
+  /// queue can drain at the end of the run.
   void evict_tick_();
 
   TestbedConfig cfg_;
@@ -166,15 +144,7 @@ class Testbed {
   std::vector<std::unique_ptr<mpi::Job>> jobs_;
   std::uint32_t next_gid_ = 1;
   std::uint32_t next_job_id_ = 1;
-  unsigned pdes_workers_ = 0;  ///< resolved (env applied) worker count
-  bool finalized_ = false;
-  bool coordinated_ = false;  ///< jobs use the split-lane protocol
-  struct PendingStart {
-    mpi::Job* job;
-    sim::Time at;
-    sim::EventId legacy_start;  ///< cancelled if coordination engages
-  };
-  std::vector<PendingStart> pending_starts_;
+  bool crashes_scheduled_ = false;
 };
 
 }  // namespace dpar::harness

@@ -7,10 +7,7 @@ SystemMonitor::SystemMonitor(sim::Engine& eng, std::vector<pfs::DataServer*> ser
     : eng_(eng), servers_(std::move(servers)), alive_(std::move(alive)), slot_(slot) {}
 
 void SystemMonitor::start() {
-  // Sampling reads every server's byte counters and server 0's trace, so on
-  // a partitioned engine the tick lives on the exclusive lane (lane 0 — a
-  // plain schedule — when unpartitioned).
-  eng_.after_in(eng_.exclusive_lane(), slot_, [this] {
+  eng_.after(slot_, [this] {
     sample();
     if (alive_()) start();
   });

@@ -8,7 +8,6 @@
 
 #include "pfs/server.hpp"
 #include "sim/engine.hpp"
-#include "sim/lane_annotations.hpp"
 #include "sim/stats.hpp"
 
 namespace dpar::metrics {
@@ -20,7 +19,7 @@ class SystemMonitor {
   SystemMonitor(sim::Engine& eng, std::vector<pfs::DataServer*> servers,
                 std::function<bool()> alive, sim::Time slot = sim::secs(1));
 
-  DPAR_EXCLUSIVE_LANE void start();
+  void start();
 
   /// Aggregate server-side throughput per slot (MB/s).
   const sim::TimeSeries& throughput_series() const { return throughput_; }
@@ -28,19 +27,19 @@ class SystemMonitor {
   const sim::TimeSeries& seek_series() const { return seek_; }
 
  private:
-  /// One sampling step; runs only as an exclusive-lane event (see start).
-  DPAR_EXCLUSIVE_LANE void sample();
+  /// One sampling step (see start).
+  void sample();
 
   sim::Engine& eng_;
   std::vector<pfs::DataServer*> servers_;
   std::function<bool()> alive_;
   sim::Time slot_;
-  // Sampling state: touched only by the exclusive-lane sample() event.
-  DPAR_EXCLUSIVE_LANE std::uint64_t prev_bytes_ = 0;
-  DPAR_EXCLUSIVE_LANE std::uint64_t prev_dispatches_ = 0;
-  DPAR_EXCLUSIVE_LANE std::uint64_t prev_seek_total_ = 0;
-  DPAR_EXCLUSIVE_LANE sim::TimeSeries throughput_;
-  DPAR_EXCLUSIVE_LANE sim::TimeSeries seek_;
+  // Sampling state: touched only by sample().
+  std::uint64_t prev_bytes_ = 0;
+  std::uint64_t prev_dispatches_ = 0;
+  std::uint64_t prev_seek_total_ = 0;
+  sim::TimeSeries throughput_;
+  sim::TimeSeries seek_;
 };
 
 /// Mean of a series' values within [t0, t1); 0 when empty.

@@ -131,7 +131,6 @@ void Job::spawn(std::uint32_t nprocs, const std::vector<cluster::ComputeNode*>& 
     const std::size_t idx = static_cast<std::size_t>(r) * nodes.size() / nprocs;
     cluster::ComputeNode& node = *nodes[std::min(idx, nodes.size() - 1)];
     auto prog = factory(r);
-    uses_p2p_ = uses_p2p_ || prog->uses_p2p();
     procs_.push_back(std::make_unique<Process>(eng_, *this, r, first_global_id + r,
                                                std::move(prog), node));
   }
@@ -140,38 +139,6 @@ void Job::spawn(std::uint32_t nprocs, const std::vector<cluster::ComputeNode*>& 
 void Job::start() {
   start_time_ = eng_.now();
   for (auto& p : procs_) p->start();
-}
-
-void Job::enable_lane_coordination(sim::Time latency) {
-  if (net_ == nullptr)
-    throw std::logic_error("Job: lane coordination needs a Network fabric");
-  if (latency <= 0)
-    throw std::invalid_argument("Job: coordination latency must be positive");
-  coord_latency_ = latency;
-}
-
-sim::LaneId Job::rank_lane_(std::uint32_t rank) {
-  return net_ != nullptr ? net_->lane_of(procs_[rank]->node().id()) : 0;
-}
-
-void Job::start_lanes(sim::Time at) {
-  start_time_ = at;
-  // One start event per compute node (block placement keeps a node's ranks
-  // consecutive), fired in rank order within the node. Grouping by node id —
-  // not by lane — keeps the batch count (and thus the fired-event count)
-  // identical at every worker setting: unpartitioned engines map every node
-  // to lane 0, which would otherwise collapse the batches into one.
-  std::uint32_t r = 0;
-  while (r < nprocs()) {
-    const std::uint32_t node = procs_[r]->node().id();
-    const sim::LaneId lane = rank_lane_(r);
-    std::vector<sim::Engine::Callback> batch;
-    for (; r < nprocs() && procs_[r]->node().id() == node; ++r) {
-      Process* p = procs_[r].get();
-      batch.emplace_back([p] { p->start(); });
-    }
-    eng_.at_all_in(lane, at, std::move(batch));
-  }
 }
 
 sim::Time Job::total_io_time() const {
@@ -194,65 +161,9 @@ std::uint64_t Job::total_bytes() const {
 
 void Job::barrier_enter(Process& proc, sim::UniqueFunction resume,
                         std::uint64_t payload_bytes) {
-  if (coord_latency_ >= 0) {
-    // Split-lane protocol: the rank's lane may be executing concurrently
-    // with its siblings, so the entry is posted to the exclusive lane as a
-    // note carrying the entry time. coord_latency_ equals the lookahead, so
-    // the note always lands past the current window's horizon.
-    const sim::Time entered = eng_.now();
-    const std::uint32_t rank = proc.rank();
-    eng_.at_in(eng_.exclusive_lane(), entered + coord_latency_,
-               [this, rank, entered, payload_bytes,
-                resume = std::move(resume)]() mutable {
-                 barrier_note_(rank, entered, payload_bytes, std::move(resume));
-               });
-    return;
-  }
   barrier_waiters_.push_back(BarrierWaiter{proc.rank(), std::move(resume)});
   barrier_payload_ = std::max(barrier_payload_, payload_bytes);
   release_barrier_if_ready();
-}
-
-void Job::barrier_note_(std::uint32_t rank, sim::Time entered,
-                        std::uint64_t payload_bytes, sim::UniqueFunction resume) {
-  coord_waiters_.push_back(CoordWaiter{rank, entered, std::move(resume)});
-  barrier_payload_ = std::max(barrier_payload_, payload_bytes);
-  release_coord_barrier_if_ready_();
-}
-
-void Job::release_coord_barrier_if_ready_() {
-  const std::uint32_t live = nprocs() - finished_;
-  if (live == 0 || coord_waiters_.size() < live) return;
-  // Same dissemination-barrier cost model as the single-lane path, but the
-  // release time derives from when the last rank *entered* (carried in its
-  // note), not from when its note reached the exclusive lane — the
-  // coordination latency is bookkeeping, not simulated barrier time.
-  const int hops = 2 * std::bit_width(std::uint32_t{live > 1 ? live - 1 : 1});
-  const sim::Time cost =
-      (sim::usec(150) + sim::transfer_time(barrier_payload_, 125e6)) * hops;
-  barrier_payload_ = 0;
-  sim::Time t_last = 0;
-  for (const CoordWaiter& w : coord_waiters_) t_last = std::max(t_last, w.entered);
-  const sim::Time release_t = t_last + cost;
-  // Canonical release order: sort by rank. Note arrival order can differ
-  // between worker counts when two notes share a timestamp; the sort (and
-  // the max/max folds above) make the release independent of it. Block
-  // placement keeps a node's ranks consecutive after the sort, so adjacent
-  // same-node waiters batch into one cross-lane message per compute node —
-  // grouped by node id so the batch count matches at every worker setting.
-  std::sort(coord_waiters_.begin(), coord_waiters_.end(),
-            [](const CoordWaiter& a, const CoordWaiter& b) { return a.rank < b.rank; });
-  auto waiters = std::move(coord_waiters_);
-  coord_waiters_.clear();
-  std::size_t i = 0;
-  while (i < waiters.size()) {
-    const std::uint32_t node = procs_[waiters[i].rank]->node().id();
-    const sim::LaneId lane = rank_lane_(waiters[i].rank);
-    std::vector<sim::Engine::Callback> batch;
-    for (; i < waiters.size() && procs_[waiters[i].rank]->node().id() == node; ++i)
-      batch.push_back(std::move(waiters[i].resume));
-    eng_.at_all_in(lane, release_t, std::move(batch));
-  }
 }
 
 void Job::release_barrier_if_ready() {
@@ -267,9 +178,9 @@ void Job::release_barrier_if_ready() {
   barrier_payload_ = 0;
   auto waiters = std::move(barrier_waiters_);
   barrier_waiters_.clear();
-  // Canonical release order: sort by rank, matching the split-lane protocol
-  // so a job releases its ranks in the same order under either path (the
-  // resume order decides how same-timestamp I/O lands at the servers).
+  // Canonical release order: sort by rank, so the release never depends on
+  // which rank arrived last (the resume order decides how same-timestamp
+  // I/O lands at the servers).
   std::sort(waiters.begin(), waiters.end(),
             [](const BarrierWaiter& a, const BarrierWaiter& b) { return a.rank < b.rank; });
   // One release event for the whole round: the resumes would get consecutive
@@ -303,10 +214,7 @@ void Job::comm_transfer(std::uint32_t src_rank, std::uint32_t dst_rank,
                std::move(done));
     return;
   }
-  // No fabric attached: latency + bandwidth formula. Without a Network there
-  // are no node lanes (the testbed derives lanes from the fabric map), so
-  // this schedules in the only lane there is.
-  // dpar-lint: allow(pdes-lane-channel)
+  // No fabric attached: latency + bandwidth formula.
   eng_.after(sim::usec(50) + sim::transfer_time(bytes, 125e6), std::move(done));
 }
 
@@ -350,30 +258,11 @@ void Job::comm_recv(Process& proc, std::uint32_t src, int tag,
 
 void Job::process_finished(Process& proc) {
   (void)proc;
-  if (coord_latency_ >= 0) {
-    const sim::Time ended = eng_.now();
-    eng_.at_in(eng_.exclusive_lane(), ended + coord_latency_,
-               [this, ended] { finish_note_(ended); });
-    return;
-  }
   ++finished_;
   // A finishing process may complete a barrier the rest are waiting on.
   release_barrier_if_ready();
   if (finished_ == nprocs()) {
     completion_time_ = eng_.now();
-    if (on_complete_) on_complete_();
-  }
-}
-
-void Job::finish_note_(sim::Time ended) {
-  ++finished_;
-  // A finishing rank may complete a barrier the rest are waiting on.
-  release_coord_barrier_if_ready_();
-  if (finished_ == nprocs()) {
-    // Two finish notes sharing a note timestamp carry the same `ended`
-    // (note time = ended + constant), so the completion time does not
-    // depend on their processing order.
-    completion_time_ = ended;
     if (on_complete_) on_complete_();
   }
 }

@@ -16,7 +16,6 @@
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "sim/func.hpp"
-#include "sim/lane_annotations.hpp"
 #include "sim/stats.hpp"
 
 namespace dpar::mpi {
@@ -38,13 +37,6 @@ class IoDriver {
   /// Notifications the DualPar cycle coordinator relies on.
   virtual void on_barrier_enter(Process&) {}
   virtual void on_process_end(Process&) {}
-
-  /// True when the driver only ever touches state owned by the calling
-  /// process's compute node (or crosses nodes via the Network channel), so a
-  /// job using it can run its ranks in per-compute-node PDES lanes. Drivers
-  /// with cross-rank shared state (collective aggregation, ghost/pre-execution
-  /// coordination) keep the default: the job stays on one lane.
-  virtual bool lane_splittable() const { return false; }
 
   virtual std::string name() const = 0;
 };
@@ -82,11 +74,10 @@ class Process {
   std::uint64_t bytes_written() const { return bytes_written_; }
   sim::Time finish_time() const { return finish_time_; }
 
-  /// Per-call I/O latency, recorded rank-locally so concurrent lanes never
-  /// share a histogram; Job merges the shards in rank order at read time.
-  /// The pair is allocated on the first record (a rank that never does I/O
-  /// costs one pointer, not 1 KB of zeroed buckets); until then both read as
-  /// an empty histogram.
+  /// Per-call I/O latency, recorded per rank; Job merges the ranks'
+  /// histograms in rank order at read time. The pair is allocated on the
+  /// first record (a rank that never does I/O costs one pointer, not 1 KB of
+  /// zeroed buckets); until then both read as an empty histogram.
   const sim::Histogram& read_latency() const { return lat_ ? lat_->read : kNoLatency; }
   const sim::Histogram& write_latency() const { return lat_ ? lat_->write : kNoLatency; }
   void record_latency(bool is_write, sim::Time latency) {
@@ -146,23 +137,6 @@ class Job {
 
   void start();
 
-  /// Switch the job onto the split-lane coordination protocol: barrier
-  /// entries and rank completions are posted to the engine's exclusive lane
-  /// as notes carrying their original timestamps, `latency` (the fabric's
-  /// switch latency == the PDES lookahead) in the future, and releases go
-  /// back out as one cross-lane message per compute node. The protocol runs
-  /// identically at every worker count — including the unpartitioned engine,
-  /// where the cross-lane calls degrade to plain events — so eligible
-  /// configurations stay byte-identical across `DPAR_PDES_WORKERS`.
-  /// Must be called before start_lanes(); requires a Network fabric.
-  void enable_lane_coordination(sim::Time latency);
-  bool lane_coordinated() const { return coord_latency_ >= 0; }
-
-  /// Start every rank at absolute time `at`, batched as one event per
-  /// compute-node lane (rank order within a node). Used instead of start()
-  /// when lane coordination is enabled.
-  void start_lanes(sim::Time at);
-
   void set_on_complete(std::function<void()> cb) { on_complete_ = std::move(cb); }
 
   std::uint32_t id() const { return id_; }
@@ -175,19 +149,13 @@ class Job {
   sim::Time start_time() const { return start_time_; }
   sim::Time completion_time() const { return completion_time_; }
 
-  /// True when any rank's program issues point-to-point sends/receives; the
-  /// rendezvous queues are job-global state, so such jobs cannot split their
-  /// ranks across lanes.
-  bool uses_p2p() const { return uses_p2p_; }
-
   /// Aggregates for EMC's I/O-ratio input and throughput reporting.
   sim::Time total_io_time() const;
   sim::Time total_compute_time() const;
   std::uint64_t total_bytes() const;
 
   /// Per-call I/O latency distribution (microseconds), read and write:
-  /// the ranks' per-process shards merged in rank order. Merging at read
-  /// time keeps the hot recording path lane-local.
+  /// the ranks' per-process histograms merged in rank order.
   sim::Histogram read_latency() const;
   sim::Histogram write_latency() const;
 
@@ -214,16 +182,6 @@ class Job {
  private:
   void release_barrier_if_ready();
 
-  // Split-lane coordination (exclusive-lane side). Notes carry the original
-  // rank-lane timestamps so the release time and completion time are computed
-  // from when things actually happened, not when the notes arrived.
-  DPAR_EXCLUSIVE_LANE void barrier_note_(std::uint32_t rank, sim::Time entered,
-                                         std::uint64_t payload_bytes,
-                                         sim::UniqueFunction resume);
-  DPAR_EXCLUSIVE_LANE void finish_note_(sim::Time ended);
-  DPAR_EXCLUSIVE_LANE void release_coord_barrier_if_ready_();
-  sim::LaneId rank_lane_(std::uint32_t rank);
-
   void comm_transfer(std::uint32_t src_rank, std::uint32_t dst_rank,
                      std::uint64_t bytes, sim::UniqueFunction done);
 
@@ -237,26 +195,15 @@ class Job {
   sim::Time start_time_ = -1;
   sim::Time completion_time_ = -1;
   std::function<void()> on_complete_;
-  bool uses_p2p_ = false;
-  sim::Time coord_latency_ = -1;  ///< >= 0: split-lane coordination active
 
   // Barrier state for the current epoch. Waiters carry their rank so the
-  // release can sort them into canonical rank order — the same order the
-  // split-lane protocol uses — keeping the two paths schedule-identical.
+  // release can resume them in canonical rank order.
   struct BarrierWaiter {
     std::uint32_t rank;
     sim::UniqueFunction resume;
   };
   std::vector<BarrierWaiter> barrier_waiters_;
   std::uint64_t barrier_payload_ = 0;
-
-  // Coordinated-barrier state, touched only from the exclusive lane.
-  struct CoordWaiter {
-    std::uint32_t rank;
-    sim::Time entered;
-    sim::UniqueFunction resume;
-  };
-  DPAR_EXCLUSIVE_LANE std::vector<CoordWaiter> coord_waiters_;
 
   // Point-to-point rendezvous queues, keyed by (src, dst, tag).
   struct CommKey {

@@ -81,10 +81,6 @@ class Program {
   virtual Op next(ProgramContext& ctx) = 0;
   /// Deep copy of the current execution state (for ghost forking).
   virtual std::unique_ptr<Program> clone() const = 0;
-  /// True when the program ever emits OpSend/OpRecv. Point-to-point
-  /// rendezvous matching is job-global state, so jobs running such programs
-  /// cannot split their ranks across PDES lanes.
-  virtual bool uses_p2p() const { return false; }
 };
 
 }  // namespace dpar::mpi

@@ -89,11 +89,6 @@ class CollectiveDriver : public VanillaDriver {
           sim::UniqueFunction done) override;
   void on_process_end(mpi::Process& proc) override;
 
-  /// Two-phase I/O gathers every rank's request into one shared round
-  /// (aggregation, shuffle, round counters), so ranks must share one lane;
-  /// a job using this driver never splits per compute node.
-  bool lane_splittable() const override { return false; }
-
   std::string name() const override { return "collective-io"; }
 
   std::uint64_t collective_rounds() const { return rounds_; }

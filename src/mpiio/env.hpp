@@ -10,23 +10,14 @@
 #include "fault/injector.hpp"
 #include "net/network.hpp"
 #include "pfs/file_system.hpp"
-#include "sim/lane_annotations.hpp"
 #include "sim/time.hpp"
 
 namespace dpar::mpiio {
 
-/// One PFS client per compute node, created on demand. When compute nodes
-/// run in separate PDES lanes the pool must be pre-warmed (see ensure):
-/// for_node is then a pure lookup and never mutates the map from a lane.
+/// One PFS client per compute node, created on demand.
 class ClientPool {
  public:
   explicit ClientPool(pfs::FileSystem& fs) : fs_(fs) {}
-
-  /// Pre-create the client for `node` (setup-time, single-threaded).
-  void ensure(net::NodeId node) {
-    if (clients_.find(node) == clients_.end())
-      clients_.emplace(node, std::make_unique<pfs::Client>(fs_, node));
-  }
 
   pfs::Client& for_node(net::NodeId node) {
     auto it = clients_.find(node);
@@ -45,12 +36,8 @@ class ClientPool {
 class RequestObserver {
  public:
   virtual ~RequestObserver() = default;
-  /// Called from the issuing rank's lane, possibly inside a parallel
-  /// window: implementations must buffer lane-locally (or route through the
-  /// lane channel) — never reach raw Engine::at()/after().
-  DPAR_CROSS_LANE_API virtual void observe(
-      std::uint32_t job_id, pfs::FileId file,
-      const std::vector<pfs::Segment>& segments, sim::Time now) = 0;
+  virtual void observe(std::uint32_t job_id, pfs::FileId file,
+                       const std::vector<pfs::Segment>& segments, sim::Time now) = 0;
 };
 
 /// Everything a driver needs to reach the storage system.

@@ -20,11 +20,6 @@ class VanillaDriver : public mpi::IoDriver {
 
   std::string name() const override { return "vanilla-mpiio"; }
 
-  /// Vanilla I/O is purely rank-local: every request goes straight from the
-  /// calling process to the PFS client over the network channel, with no
-  /// cross-rank aggregation — so its jobs may split across per-node lanes.
-  bool lane_splittable() const override { return true; }
-
   /// Independent strided I/O issues one contiguous piece per round trip
   /// ("a process issues its synchronous read requests one at a time", §II) —
   /// the behaviour DualPar's request aggregation removes. Disable to grant

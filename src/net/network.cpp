@@ -20,12 +20,6 @@ Network::Network(sim::Engine& eng, std::uint32_t num_nodes, NetParams params)
   }
 }
 
-void Network::set_node_lanes(std::vector<sim::LaneId> lanes) {
-  if (!lanes.empty() && lanes.size() != nics_.size())
-    throw std::invalid_argument("Network::set_node_lanes: one lane per node");
-  node_lane_ = std::move(lanes);
-}
-
 std::uint64_t Network::messages_sent() const {
   std::uint64_t n = 0;
   for (const Nic& nic : nics_) n += nic.messages;
@@ -62,9 +56,7 @@ void Network::send(NodeId from, NodeId to, std::uint64_t bytes,
   src.bytes += bytes;
   if (from == to) {
     // Local delivery: memory copy, no NIC involvement. Charge a token cost so
-    // that local cache hits are cheap but not free. Stays in the sender's own
-    // lane, so the plain scheduling call is lane-safe.
-    // dpar-lint: allow(pdes-lane-channel) loopback never crosses a lane
+    // that local cache hits are cheap but not free.
     eng_.after(sim::usec(5) + sim::transfer_time(bytes, 4e9), std::move(delivered));
     return;
   }
@@ -94,13 +86,11 @@ void Network::send(NodeId from, NodeId to, std::uint64_t bytes,
     }
     hop += extra;
   }
-  // Arrival = TX drain + switch hop, scheduled straight into the receiver's
-  // lane. hop >= switch_latency == the engine lookahead, so the arrival is
-  // provably outside the current safe window — this is the cross-LP channel.
+  // Arrival = TX drain + switch hop.
   const sim::Time rx_time =
       sim::transfer_time(wire_bytes, params_.bandwidth_bytes_per_s);
   auto* t = new Transit{this, nics_[to].rx.get(), rx_time, std::move(delivered)};
-  eng_.at_in(lane_of(to), tx_finish + hop, [t] {
+  eng_.at(tx_finish + hop, [t] {
     const sim::Time rx_time = t->rx_time;
     sim::FifoResource& rx = *t->rx;
     sim::UniqueFunction cb = std::move(t->cb);

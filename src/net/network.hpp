@@ -10,10 +10,7 @@
 // messages leave a NIC in submission order, so the transmit-finish time is
 // just max(tx_free_at, now) + tx_time — one running register per NIC instead
 // of one completion event per message. Only the arrival (switch hop + RX
-// FIFO) is an event, and it is scheduled directly into the *receiver's*
-// lane, which makes `send` the designated cross-LP channel of the
-// conservative-PDES engine: the switch latency is the lookahead, so every
-// arrival lands safely past the current window.
+// FIFO) is an event.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +19,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/func.hpp"
-#include "sim/lane_annotations.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -54,20 +50,11 @@ class Network {
   /// Deliver `bytes` from `from` to `to`; `delivered` fires at the receiver
   /// once the payload has fully arrived. Loopback messages skip the fabric
   /// and cost only a small local copy.
-  DPAR_CROSS_LANE_API void send(NodeId from, NodeId to, std::uint64_t bytes,
-                           sim::UniqueFunction delivered);
+  void send(NodeId from, NodeId to, std::uint64_t bytes,
+            sim::UniqueFunction delivered);
 
   std::uint32_t num_nodes() const { return static_cast<std::uint32_t>(nics_.size()); }
   const NetParams& params() const { return params_; }
-
-  /// Map each node to the engine lane that owns its state. Arrivals are
-  /// scheduled into the receiving node's lane; `send` is then the inter-LP
-  /// channel of a partitioned engine. Unset (or on an unpartitioned engine)
-  /// everything runs in lane 0.
-  void set_node_lanes(std::vector<sim::LaneId> lanes);
-  sim::LaneId lane_of(NodeId n) const {
-    return node_lane_.empty() ? 0 : node_lane_[n];
-  }
 
   /// Arm fault injection: remote messages may be dropped (the callback is
   /// destroyed unfired — the sender learns via its own timeout) or delayed.
@@ -87,10 +74,8 @@ class Network {
     sim::Time tx_busy = 0;
     std::uint64_t messages = 0;  ///< messages sent by this node
     std::uint64_t bytes = 0;     ///< payload bytes sent by this node
-    /// Per-sender jitter stream. A single shared stream would make draw
-    /// order (and thus every latency) depend on cross-lane event
-    /// interleaving; one stream per sender is touched only by the lane that
-    /// owns the sender, keeping jitter identical at every worker count.
+    /// Per-sender jitter stream: a sender's latencies depend only on its own
+    /// send order, never on how other nodes' sends interleave with it.
     sim::Rng jitter;
     std::unique_ptr<sim::FifoResource> rx;
   };
@@ -98,7 +83,6 @@ class Network {
   sim::Engine& eng_;
   NetParams params_;
   std::vector<Nic> nics_;
-  std::vector<sim::LaneId> node_lane_;  ///< empty = everything in lane 0
   fault::FaultInjector* injector_ = nullptr;
 };
 

@@ -248,8 +248,6 @@ struct RepOp {
   std::uint64_t context;
   std::uint64_t total_bytes;
   std::uint32_t pending;  ///< shards not yet terminal (grows on failover)
-  /// Atomic: under per-node lanes a server lane can destroy a completion
-  /// callback holding a ref while the client lane drops another.
   std::atomic<std::uint32_t> refs = 0;
   bool degraded_counted = false;
   IoDoneFn done;
@@ -526,9 +524,9 @@ void start_rep_attempt(RepOp* op, std::size_t idx) {
                        op->mgr->config().fanout == replica::WriteFanout::kChain;
   if (chained) {
     // Chain hop: route through the previous role's server for the shard's
-    // first chunk. The relay runs in the forwarder's lane — its NIC, its TX
-    // FIFO — and a crashed forwarder drops the hop (the client times out and
-    // retransmits through it again).
+    // first chunk. The relay uses the forwarder's NIC and TX FIFO, and a
+    // crashed forwarder drops the hop (the client times out and retransmits
+    // through it again).
     const std::uint64_t first_chunk =
         sh.ranges.front().offset / op->mgr->map().layout().unit_bytes;
     DataServer& fwd =

@@ -13,7 +13,6 @@
 #include "pfs/layout.hpp"
 #include "pfs/server_cache.hpp"
 #include "sim/func.hpp"
-#include "sim/lane_annotations.hpp"
 #include "sim/resource.hpp"
 
 namespace dpar::fault {
@@ -78,12 +77,9 @@ class DataServer {
   void set_fault_injector(fault::FaultInjector* inj);
   /// Crash: refuse new requests and lose all accepted-but-unreplied work
   /// (their replies are squashed; clients find out by timing out).
-  /// Crash/restart events are scheduled on the engine's exclusive lane (the
-  /// fault plan pins them there), so the epoch flip and listener fan-out run
-  /// with every lane quiescent.
-  DPAR_EXCLUSIVE_LANE void crash();
+  void crash();
   /// Restart after a crash with an empty queue.
-  DPAR_EXCLUSIVE_LANE void restart();
+  void restart();
   bool is_down() const { return down_; }
   /// Internal plumbing: deliver a finished request's reply, or squash it when
   /// the server crashed (epoch changed) since the request was accepted.

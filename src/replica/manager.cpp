@@ -41,11 +41,9 @@ RepairManager::RepairManager(sim::Engine& eng, net::Network& net,
       injector_(injector),
       mds_node_(mds_node),
       jobs_live_(std::move(jobs_live)),
-      note_delay_(net.params().switch_latency),
-      shards_(1) {
+      note_delay_(net.params().switch_latency) {
   if (injector_) {
-    // Crash/restart events run on the exclusive lane, so the listener may
-    // mutate the tracker directly. Our crash model: a dead server's replica
+    // Our crash model: a dead server's replica
     // regions are dirty — every copy it hosts must be re-replicated from a
     // surviving copy once it is back (the motivation's "a server crash
     // silently loses data").
@@ -75,37 +73,6 @@ void RepairManager::register_file(pfs::FileId id, std::uint64_t size) {
         if (!server_up_(map_.server_of(k, r))) adjust_live_(f, k, false);
   tracked_.push_back(std::move(f));
   DPAR_IF_CHECKING(check_invariants());
-}
-
-Counters& RepairManager::counters() {
-  const sim::LaneId l = eng_.current_lane();
-  return shards_[l < shards_.size() ? l : 0];
-}
-
-void RepairManager::set_lane_count(std::uint32_t lanes) {
-  if (lanes > shards_.size()) shards_.resize(lanes);
-}
-
-Counters RepairManager::total() const {
-  Counters t;
-  for (const Counters& c : shards_) {
-    t.writes_replicated += c.writes_replicated;
-    t.write_copy_shards += c.write_copy_shards;
-    t.chain_forwards += c.chain_forwards;
-    t.copy_write_failures += c.copy_write_failures;
-    t.degraded_reads += c.degraded_reads;
-    t.failover_shards += c.failover_shards;
-    t.failover_latency_ns += c.failover_latency_ns;
-    t.out_of_replica_reads += c.out_of_replica_reads;
-    t.chunks_invalidated += c.chunks_invalidated;
-    t.repair_ops_issued += c.repair_ops_issued;
-    t.repair_ops_completed += c.repair_ops_completed;
-    t.repair_ops_failed += c.repair_ops_failed;
-    t.repair_bytes_copied += c.repair_bytes_copied;
-    t.repair_blocked_permanent += c.repair_blocked_permanent;
-    t.chunks_unrepairable += c.chunks_unrepairable;
-  }
-  return t;
 }
 
 bool RepairManager::copy_live_(const FileState& f, std::uint64_t chunk,
@@ -170,14 +137,13 @@ void RepairManager::on_server_state_(std::uint32_t server, bool down) {
 void RepairManager::post_invalid_copies(pfs::FileId file, std::uint32_t role,
                                         std::vector<std::uint64_t> chunks) {
   if (chunks.empty()) return;
-  eng_.after_in(eng_.exclusive_lane(), note_delay_,
-                [this, file, role, chunks = std::move(chunks)] {
-                  for (FileState& f : tracked_)
-                    if (f.id == file)
-                      for (std::uint64_t k : chunks) note_invalid_(f, k, role);
-                  DPAR_IF_CHECKING(check_invariants());
-                  if (started_ && !ticking_ && deficit_actionable_()) arm_tick_();
-                });
+  eng_.after(note_delay_, [this, file, role, chunks = std::move(chunks)] {
+    for (FileState& f : tracked_)
+      if (f.id == file)
+        for (std::uint64_t k : chunks) note_invalid_(f, k, role);
+    DPAR_IF_CHECKING(check_invariants());
+    if (started_ && !ticking_ && deficit_actionable_()) arm_tick_();
+  });
 }
 
 bool RepairManager::deficit_actionable_() const {
@@ -231,23 +197,20 @@ void RepairManager::issue_repair_(std::size_t file_idx, std::uint64_t chunk,
   // squashed) and schedules a fresh one.
   const sim::Time patience =
       2 * injector_->request_timeout(bytes) + config().repair_scan_interval;
-  eng_.after_in(eng_.exclusive_lane(), patience,
-                [this, file_idx, chunk, role, issue_id, issued_seq] {
-                  repair_done_(file_idx, chunk, role, issue_id, issued_seq,
-                               fault::Status::kTimeout);
-                });
+  eng_.after(patience, [this, file_idx, chunk, role, issue_id, issued_seq] {
+    repair_done_(file_idx, chunk, role, issue_id, issued_seq, fault::Status::kTimeout);
+  });
 
   // Control message metadata-server -> source, then a replica-local read at
   // the source, the chunk's bytes across the fabric, a replica-local write
   // at the target, and a completion note hopping home through the metadata
-  // node into the exclusive lane. Every stage shares the foreground path's
-  // service threads, disk schedulers and NIC FIFOs — repair genuinely
-  // competes with application I/O.
+  // node. Every stage shares the foreground path's service threads, disk
+  // schedulers and NIC FIFOs — repair genuinely competes with application
+  // I/O.
   auto note = [this, file_idx, chunk, role, issue_id, issued_seq](fault::Status st) {
-    eng_.after_in(eng_.exclusive_lane(), note_delay_,
-                  [this, file_idx, chunk, role, issue_id, issued_seq, st] {
-                    repair_done_(file_idx, chunk, role, issue_id, issued_seq, st);
-                  });
+    eng_.after(note_delay_, [this, file_idx, chunk, role, issue_id, issued_seq, st] {
+      repair_done_(file_idx, chunk, role, issue_id, issued_seq, st);
+    });
   };
   net_.send(
       mds_node_, src_node, 128,
@@ -324,7 +287,7 @@ void RepairManager::start() {
 
 void RepairManager::arm_tick_() {
   ticking_ = true;
-  eng_.after_in(eng_.exclusive_lane(), config().repair_scan_interval, [this] {
+  eng_.after(config().repair_scan_interval, [this] {
     ticking_ = false;
     tick();
   });
@@ -379,7 +342,7 @@ void RepairManager::tick() {
 
 DurabilityReport RepairManager::report() const {
   DurabilityReport rep;
-  rep.counters = total();
+  rep.counters = counters_;
   const std::uint32_t rf = map_.replication_factor();
   const sim::Time now = eng_.now();
   for (const FileState& f : tracked_) {

@@ -13,16 +13,12 @@
 // and a crash or restart O(hosted copies). report() recounts from scratch
 // and doubles as the oracle for the incremental state.
 //
-// Concurrency contract (the usual exclusive-lane pattern, cf. dualpar::Emc):
-// all tracker state is mutated only on the engine's exclusive lane — by the
-// periodic tick, by the fault injector's server up/down listener (crash and
-// restart events are pinned there), and by notes that client lanes post via
-// `post_invalid_copies`, which travel `note_delay` (the fabric's switch
-// latency, i.e. at least the PDES lookahead) into the exclusive lane. Note
-// effects are commutative (set-a-bit, bump-a-counter), so any same-timestamp
-// arrival order produces the same tracker state and runs stay byte-identical
-// at every DPAR_PDES_WORKERS value. The durability ledger (Counters) is
-// sharded per lane exactly like fault::Counters.
+// Tracker state is mutated by the periodic tick, by the fault injector's
+// server up/down listener, and by notes that clients post via
+// `post_invalid_copies`, which reach the manager `note_delay` (the fabric's
+// switch latency) later, like the message they model. Note effects are
+// commutative (set-a-bit, bump-a-counter), so any same-timestamp arrival
+// order produces the same tracker state.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +29,10 @@
 #include "pfs/file_system.hpp"
 #include "replica/placement.hpp"
 #include "sim/engine.hpp"
-#include "sim/lane_annotations.hpp"
 
 namespace dpar::replica {
 
-/// Durability/recovery ledger of one run, sharded per lane.
+/// Durability/recovery ledger of one run.
 struct Counters {
   // client write fan-out
   std::uint64_t writes_replicated = 0;   ///< write ops that fanned out copies
@@ -86,28 +81,25 @@ class RepairManager {
 
   /// Track a freshly created file (all copies start valid). Called by
   /// FileSystem::create.
-  DPAR_EXCLUSIVE_LANE void register_file(pfs::FileId id, std::uint64_t size);
+  void register_file(pfs::FileId id, std::uint64_t size);
 
-  /// The calling lane's ledger shard (hot client paths); aggregate readers
-  /// use total().
-  Counters& counters();
-  Counters total() const;
-  void set_lane_count(std::uint32_t lanes);
+  /// The run's durability ledger.
+  Counters& counters() { return counters_; }
+  const Counters& counters() const { return counters_; }
 
-  /// Arm the periodic scan/dispatch tick (exclusive lane) and hook the
-  /// injector's server up/down listener. Called from Testbed::run.
-  DPAR_EXCLUSIVE_LANE void start();
+  /// Arm the periodic scan/dispatch tick and hook the injector's server
+  /// up/down listener. Called from Testbed::run.
+  void start();
   /// One scan/dispatch step (also callable directly from tests).
-  DPAR_EXCLUSIVE_LANE void tick();
+  void tick();
 
-  /// Client-lane entry point: copies of `chunks` under `role` failed a write
-  /// for good and are now stale. The note is posted into the exclusive lane
-  /// `note_delay` ahead (at least the PDES lookahead); effects commute.
-  DPAR_CROSS_LANE_API void post_invalid_copies(pfs::FileId file,
-                                          std::uint32_t role,
-                                          std::vector<std::uint64_t> chunks);
+  /// Client entry point: copies of `chunks` under `role` failed a write
+  /// for good and are now stale. The note lands `note_delay` later; effects
+  /// commute.
+  void post_invalid_copies(pfs::FileId file, std::uint32_t role,
+                           std::vector<std::uint64_t> chunks);
 
-  /// Tracker snapshot; call after the run (or from the exclusive lane).
+  /// Tracker snapshot.
   /// Recomputes every figure by a full scan, independently of the
   /// incremental counts below.
   DurabilityReport report() const;
@@ -119,7 +111,7 @@ class RepairManager {
   /// chunk's live-copy count, the under-replicated total and the in-flight
   /// repair count by full scan and asserts they match the incremental
   /// state, and that no invalid bit lies past a file's last copy. Aborts
-  /// via DPAR_ASSERT. Called after every exclusive-lane mutation when
+  /// via DPAR_ASSERT. Called after every tracker mutation when
   /// DPAR_CHECK_INVARIANTS is compiled in.
   void check_invariants() const;
 
@@ -152,35 +144,28 @@ class RepairManager {
     }
   };
 
-  DPAR_EXCLUSIVE_LANE void on_server_state_(std::uint32_t server, bool down);
-  DPAR_EXCLUSIVE_LANE void note_invalid_(FileState& f, std::uint64_t chunk,
-                                         std::uint32_t role);
-  DPAR_EXCLUSIVE_LANE void repair_done_(std::size_t file_idx,
-                                        std::uint64_t chunk, std::uint32_t role,
-                                        std::uint64_t issue_id,
-                                        std::uint32_t issued_seq,
-                                        fault::Status st);
+  void on_server_state_(std::uint32_t server, bool down);
+  void note_invalid_(FileState& f, std::uint64_t chunk, std::uint32_t role);
+  void repair_done_(std::size_t file_idx, std::uint64_t chunk, std::uint32_t role,
+                    std::uint64_t issue_id, std::uint32_t issued_seq, fault::Status st);
   /// Set copy (chunk, role)'s invalid bit, keeping the live count in step
   /// when its server is up. Returns false (and does nothing) if the bit
   /// already had that value.
-  DPAR_EXCLUSIVE_LANE bool set_invalid_(FileState& f, std::uint64_t chunk,
-                                        std::uint32_t role, bool invalid);
+  bool set_invalid_(FileState& f, std::uint64_t chunk, std::uint32_t role, bool invalid);
   /// Move chunk's live-copy count up or down by one, folding the elapsed
   /// interval into the chunk-seconds ledger first if the chunk enters or
   /// leaves the under-replicated set.
-  DPAR_EXCLUSIVE_LANE void adjust_live_(FileState& f, std::uint64_t chunk,
-                                        bool gained);
+  void adjust_live_(FileState& f, std::uint64_t chunk, bool gained);
   bool server_up_(std::uint32_t server) const {
     return !injector_ || !injector_->server_down(server);
   }
   bool copy_live_(const FileState& f, std::uint64_t chunk,
                   std::uint32_t role) const;
   /// Issue one repair copy source -> target for (file, chunk, role).
-  DPAR_EXCLUSIVE_LANE void issue_repair_(std::size_t file_idx,
-                                         std::uint64_t chunk, std::uint32_t role,
-                                         std::uint32_t source_role);
+  void issue_repair_(std::size_t file_idx, std::uint64_t chunk, std::uint32_t role,
+                     std::uint32_t source_role);
   bool deficit_actionable_() const;
-  DPAR_EXCLUSIVE_LANE void arm_tick_();
+  void arm_tick_();
 
   sim::Engine& eng_;
   net::Network& net_;
@@ -190,24 +175,20 @@ class RepairManager {
   net::NodeId mds_node_;
   std::function<bool()> jobs_live_;
   sim::Time note_delay_;
-  /// Per-lane durability-ledger shards: counters() hands each client lane
-  /// its own shard, so no routing is needed on the hot write/read paths.
-  DPAR_LANE_SAFE std::vector<Counters> shards_;
-  // Tracker state below: mutated only with every lane quiescent (see the
-  // concurrency contract at the top of this file).
-  DPAR_EXCLUSIVE_LANE std::vector<FileState> tracked_;
+  Counters counters_;
+  std::vector<FileState> tracked_;
   // Token bucket for repair bandwidth.
-  DPAR_EXCLUSIVE_LANE double repair_tokens_ = 0.0;
-  DPAR_EXCLUSIVE_LANE sim::Time last_tick_ = 0;
+  double repair_tokens_ = 0.0;
+  sim::Time last_tick_ = 0;
   // Chunks short of rf live copies, and the exact chunk-nanoseconds they
   // have accumulated up to under_since_ (the last change of under_now_).
-  DPAR_EXCLUSIVE_LANE std::uint64_t under_now_ = 0;
-  DPAR_EXCLUSIVE_LANE sim::Time under_since_ = 0;
-  DPAR_EXCLUSIVE_LANE std::uint64_t under_chunk_ns_ = 0;
-  DPAR_EXCLUSIVE_LANE std::uint64_t in_flight_ = 0;
-  DPAR_EXCLUSIVE_LANE std::uint64_t next_issue_ = 1;
-  DPAR_EXCLUSIVE_LANE bool ticking_ = false;
-  DPAR_EXCLUSIVE_LANE bool started_ = false;
+  std::uint64_t under_now_ = 0;
+  sim::Time under_since_ = 0;
+  std::uint64_t under_chunk_ns_ = 0;
+  std::uint64_t in_flight_ = 0;
+  std::uint64_t next_issue_ = 1;
+  bool ticking_ = false;
+  bool started_ = false;
 };
 
 }  // namespace dpar::replica

@@ -75,7 +75,7 @@ struct ReplicaConfig {
   /// competes with foreground traffic through the same disks and NICs, and
   /// this caps how hard it competes.
   double repair_bandwidth = 40e6;  ///< bytes/s
-  /// Exclusive-lane scan/dispatch period of the repair manager.
+  /// Scan/dispatch period of the repair manager.
   sim::Time repair_scan_interval = sim::msec(20);
   /// Max repair copies in flight per tick batch.
   std::uint32_t repair_batch_chunks = 8;

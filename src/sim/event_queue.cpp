@@ -28,8 +28,9 @@
 //    tied finer slots are never cascaded by the tie rule, and their keys
 //    would otherwise be shadowed by the freshly filled front (see
 //    sweep_front_bucket_). Stale keys are dropped for free at every hop.
-//  * A cross-lane post may land *behind* the floor (the target lane's next
-//    own event — and thus its floor — can sit past the window horizon).
+//  * A key may land *behind* the floor: a next_time() peek (run_until)
+//    advances the floor to the next key's bucket while the clock stays
+//    behind it, and the caller may then schedule at the clock.
 //    The floor then rewinds to the key and the front bucket is re-filed.
 //    Wheel keys stay put: their slot indices now alias one wrap later, so
 //    a refill may reconstruct a too-early candidate — harmless, the
@@ -37,24 +38,11 @@
 //    bit clears either way, so progress holds.
 #include "sim/event_queue.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "sim/debug.hpp"
 
 namespace dpar::sim {
-
-QueueKind queue_kind_from_env() {
-  const char* v = std::getenv("DPAR_ENGINE_QUEUE");
-  if (v == nullptr || *v == '\0') return QueueKind::kLadder;
-  const std::string s(v);
-  if (s == "ladder") return QueueKind::kLadder;
-  if (s == "heap") return QueueKind::kHeap;
-  throw std::invalid_argument("DPAR_ENGINE_QUEUE: expected \"heap\" or \"ladder\", got \"" +
-                              s + "\"");
-}
 
 EventQueue::EventQueue(QueueKind kind, const std::vector<std::uint32_t>* gens)
     : kind_(kind), gens_(gens) {}
@@ -66,17 +54,6 @@ void EventQueue::push(const EventKey& k) {
     heap_push_(k);
   else
     ladder_push_(k);
-}
-
-void EventQueue::append(const EventKey& k) {
-  if (kind_ == QueueKind::kHeap)
-    heap_.push_back(k);  // unsifted; commit_batch() restores order
-  else
-    ladder_push_(k);  // bucket filing is already O(1)
-}
-
-void EventQueue::commit_batch() {
-  if (kind_ == QueueKind::kHeap) heap_rebuild_();
 }
 
 Time EventQueue::next_time() {
@@ -199,8 +176,8 @@ void EventQueue::ladder_push_(const EventKey& k) {
     // Empty queue: re-anchor the cursor on the key so it files as front.
     floor_ = k.t;
   } else if (slot_of_(k.t, 0) < slot_of_(floor_, 0)) {
-    // The key precedes the cursor's bucket (a cross-lane post behind a
-    // prefetched floor). Rewind: the front bucket is no longer current, so
+    // The key precedes the cursor's bucket (scheduled behind a floor a
+    // next_time() peek advanced). Rewind: the front bucket is no longer current, so
     // re-file its keys relative to the new floor.
     std::vector<EventKey> spill;
     spill.swap(front_);

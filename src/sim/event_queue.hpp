@@ -1,31 +1,28 @@
-// Tiered event queue behind the engine's lane API.
+// Tiered event queue behind the engine.
 //
-// Every lane owns one EventQueue holding (time, seq, slot, gen) keys. Two
-// implementations share the class, selected per engine via
-// DPAR_ENGINE_QUEUE=heap|ladder (TestbedConfig::engine_queue overrides):
+// The engine owns one EventQueue holding (time, seq, slot, gen) keys. Two
+// implementations share the class:
 //
+//  * kLadder — what the engine runs on: a near-future ladder backed by a
+//    hierarchical timer wheel and an unsorted far-future tail
+//    (event_queue.cpp). Keys within the current ~1 us bucket sit in a small
+//    sorted front heap; the next ~64 us spread over 64 fixed-width level-0
+//    buckets that are sorted only when drained; three coarser wheel levels
+//    with 64x-wider slots cover ~17 s, and everything beyond lands in the
+//    tail. push is O(1) amortized (bucket append + occupancy bit), pop moves
+//    each key through at most one cascade per level. Cancel never sorts or
+//    sifts anything: the generation tag goes stale in place and an
+//    amortized linear purge (same 1/2 threshold as the heap's compaction)
+//    keeps memory bounded — no compaction storms under cancel-heavy timer
+//    traffic.
 //  * kHeap — the slab 4-ary min-heap, frozen verbatim from the pre-ladder
 //    engine as the differential oracle (queue_reference.cpp, in the
 //    sched_reference/layout_reference style). O(log n) push/pop; cancelled
 //    keys are skipped on pop and compacted away when they reach half the
-//    heap.
-//  * kLadder — a near-future ladder backed by a hierarchical timer wheel
-//    and an unsorted far-future tail (event_queue.cpp). Keys within the
-//    current ~1 us bucket sit in a small sorted front heap; the next ~64 us
-//    (one conservative-PDES lookahead window at the 50 us switch latency)
-//    spread over 64 fixed-width level-0 buckets that are sorted only when
-//    drained; three coarser wheel levels with 64x-wider slots cover ~17 s,
-//    and everything beyond lands in the tail. push is O(1) amortized
-//    (bucket append + occupancy bit), pop moves each key through at most
-//    one cascade per level. Cancel never sorts or sifts anything: the
-//    generation tag goes stale in place and an amortized linear purge
-//    (same 1/2 threshold as the heap's compaction) keeps memory bounded —
-//    no compaction storms under cancel-heavy timer traffic.
+//    heap. Only the queue tests and the queue micro-benchmark build it.
 //
 // Both implementations pop live keys in exactly the packed 128-bit
-// (time, seq) total order, so every simulation is byte-identical across
-// queue kinds and DPAR_PDES_WORKERS counts; CI diffs the bench outputs to
-// enforce it.
+// (time, seq) total order, so a simulation is byte-identical on either.
 #pragma once
 
 #include <array>
@@ -43,7 +40,7 @@ constexpr Time kNoEventTime = std::numeric_limits<Time>::max();
 
 /// One scheduled event: fire time, global-order tie-breaker, and the
 /// generation-tagged slab slot holding its callback. The queue never looks
-/// at the callback — staleness is decided entirely by the owning lane's
+/// at the callback — staleness is decided entirely by the owning engine's
 /// generation array.
 struct EventKey {
   Time t;
@@ -54,14 +51,9 @@ struct EventKey {
 
 enum class QueueKind : std::uint8_t { kHeap, kLadder };
 
-/// Resolve DPAR_ENGINE_QUEUE: unset or empty picks the ladder (the heap is
-/// the retained oracle); "heap"/"ladder" select explicitly. Throws
-/// std::invalid_argument on anything else.
-QueueKind queue_kind_from_env();
-
 class EventQueue {
  public:
-  /// `gens` is the owning lane's slot-generation array: key `k` is stale
+  /// `gens` is the owning engine's slot-generation array: key `k` is stale
   /// (cancelled or superseded) exactly when (*gens)[k.slot] != k.gen. The
   /// pointer must outlive the queue; the vector may grow/reallocate freely.
   EventQueue(QueueKind kind, const std::vector<std::uint32_t>* gens);
@@ -71,19 +63,9 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  QueueKind kind() const { return kind_; }
-
   /// Insert one key. Keys must be unique and carry strictly increasing seq
-  /// per (t) from the owning lane's counter.
+  /// per (t) from the owning engine's counter.
   void push(const EventKey& k);
-
-  /// Bulk-insert path for window-barrier outbox batches: append keys
-  /// cheaply, then commit_batch() once. The heap arm appends unsifted and
-  /// restores order with one Floyd rebuild; the ladder's push is already
-  /// O(1), so append == push and commit is a no-op. Pop order depends only
-  /// on the keys, so both paths yield identical schedules.
-  void append(const EventKey& k);
-  void commit_batch();
 
   /// Earliest live key's time, or kNoEventTime when none is pending.
   /// Drops leading stale keys as a side effect.
@@ -92,7 +74,7 @@ class EventQueue {
   /// Pop the earliest live key into `out`. False when no live key remains.
   bool pop_min_live(EventKey& out);
 
-  /// The owning lane cancelled a key (its generation was bumped). O(1):
+  /// The owning engine cancelled a key (its generation was bumped). O(1):
   /// bumps the stale count and, past the amortized threshold, purges every
   /// stale key with one linear filter pass — no per-cancel sifting.
   void note_cancel();
@@ -105,7 +87,7 @@ class EventQueue {
   std::size_t stale() const { return stale_; }
 
   /// Visit every key (live and stale) in unspecified order — the owning
-  /// lane's invariant checks validate slot/callback agreement through this.
+  /// engine's invariant checks validate slot/callback agreement through this.
   template <class F>
   void for_each_key(F&& f) const {
     if (kind_ == QueueKind::kHeap) {
@@ -159,9 +141,8 @@ class EventQueue {
 
   // ---- ladder arm (event_queue.cpp) ----
   // Power-of-two geometry: level i spans 64 slots of 2^(10 + 6i) ns each.
-  // Level 0 buckets are ~1 us wide (64 us wheel span — one 50 us lookahead
-  // window fits); level 3 slots are ~268 ms (17.2 s total span). Beyond
-  // that, keys wait in the unsorted tail.
+  // Level 0 buckets are ~1 us wide (64 us wheel span); level 3 slots are
+  // ~268 ms (17.2 s total span). Beyond that, keys wait in the unsorted tail.
   static constexpr int kLevels = 4;
   static constexpr int kSlotBits = 6;
   static constexpr int kSlotsPerLevel = 1 << kSlotBits;  // 64

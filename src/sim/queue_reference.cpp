@@ -1,9 +1,9 @@
 // Reference event queue: the slab 4-ary min-heap, frozen verbatim from the
 // pre-ladder engine (PR 1's layout: shallower than binary, cache-line
-// friendly children, amortized stale-key compaction). Selected with
-// DPAR_ENGINE_QUEUE=heap and kept as the differential oracle the ladder
-// queue is byte-compared against — in the randomized queue tests, in the
-// engine-level differential tests, and in CI's heap-vs-ladder bench diffs.
+// friendly children, amortized stale-key compaction). Kept as the
+// differential oracle the ladder queue is byte-compared against — in the
+// randomized queue tests, the engine-level differential test, and the
+// queue micro-benchmark's ratio gate.
 // Do not "improve" this file; its behaviour is the contract.
 #include "sim/event_queue.hpp"
 
@@ -51,8 +51,7 @@ void EventQueue::heap_sift_down_(std::size_t i) {
 }
 
 /// Restore the heap property bottom-up (Floyd): only internal nodes sift.
-/// O(n) regardless of how disordered the tail is, which makes bulk key
-/// appends (outbox batches) cheaper than per-key sift-up at scale.
+/// O(n) regardless of how disordered the keys are.
 void EventQueue::heap_rebuild_() {
   if (heap_.size() > 1)
     for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;)

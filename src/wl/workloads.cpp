@@ -326,7 +326,6 @@ class MasterWorkerProgram final : public Cloneable<MasterWorkerProgram> {
     return ctx.rank == 0 ? master_next() : worker_next(ctx);
   }
 
-  bool uses_p2p() const override { return true; }
 
  private:
   static constexpr int kDispatchTag = 1;

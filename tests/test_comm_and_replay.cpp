@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/testbed.hpp"
@@ -86,8 +88,10 @@ TEST(PointToPoint, MatchingTagsCompleteInOrder) {
 
 TEST(PointToPoint, MismatchedTagOrderDeadlocksLikeRealMpi) {
   // Blocking (rendezvous) sends awaiting receives posted in the opposite tag
-  // order deadlock in real MPI; the testbed's drain guard must report it
-  // rather than hang or claim success.
+  // order deadlock in real MPI; the testbed's guard must report it rather
+  // than hang or claim success. The daemons keep re-arming while the job
+  // lives, so it is the event cap that stops the run, and the message must
+  // say so.
   harness::Testbed tb(small_config());
   tb.add_job("deadlock", 2, tb.vanilla(), [&](std::uint32_t rank) {
     std::vector<Op> ops;
@@ -100,7 +104,16 @@ TEST(PointToPoint, MismatchedTagOrderDeadlocksLikeRealMpi) {
     }
     return std::make_unique<ScriptProgram>(std::move(ops));
   }, dualpar::Policy::kForcedNormal);
-  EXPECT_THROW(tb.run(/*max_events=*/100'000), std::runtime_error);
+  try {
+    tb.run(/*max_events=*/100'000);
+    FAIL() << "a deadlocked job must not report success";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("event cap of 100000 reached"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("at simulated time"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("1 of 1 jobs unfinished"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("drained"), std::string::npos) << msg;
+  }
 }
 
 TEST(PointToPoint, ManyPairsInParallel) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "harness/testbed.hpp"
 #include "wl/workloads.hpp"
@@ -227,8 +229,16 @@ TEST(TestbedDetails, RunThrowsOnUndrainableDeadlock) {
   tb.add_job("j", 1, stuck, [dc](std::uint32_t) { return wl::make_demo(dc); },
              dualpar::Policy::kForcedNormal);
   // Bounded event budget: the periodic EMC tick keeps the queue alive
-  // forever, so the guard must fire at the cap.
-  EXPECT_THROW(tb.run(/*max_events=*/100'000), std::runtime_error);
+  // forever, so the guard must fire at the cap and name it.
+  try {
+    tb.run(/*max_events=*/100'000);
+    FAIL() << "a stuck job must not report success";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("event cap of 100000 reached"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("at simulated time"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("1 of 1 jobs unfinished"), std::string::npos) << msg;
+  }
 }
 
 }  // namespace

@@ -109,10 +109,10 @@ struct NullDriver : mpi::IoDriver {
 
 TEST(EmcReqDist, ShardedSplitObservationsMatchOneCallAndTheSortedFormula) {
   // ReqDist folds each observe() into per-(job, file) offset extremes and
-  // counts in the calling lane's shard. Splitting the same requests over
-  // many calls and four lane shards must give the same bits as one call per
-  // (job, file), and as the sort-then-sum formula averaged the way tick()
-  // averages it (per job over files, then over jobs).
+  // counts. Splitting the same requests into shards observed by many
+  // interleaved calls must give the same bits as one call per (job, file),
+  // and as the sort-then-sum formula averaged the way tick() averages it
+  // (per job over files, then over jobs).
   constexpr std::uint32_t kJobs = 2;
   constexpr pfs::FileId kFiles = 3;
   sim::Rng rng(0xd157);
@@ -150,11 +150,8 @@ TEST(EmcReqDist, ShardedSplitObservationsMatchOneCallAndTheSortedFormula) {
     one.tick();
 
     sim::Engine eng;
-    for (int l = 0; l < 3; ++l) eng.add_lane();
-    eng.set_lookahead(sim::usec(50));
     mpi::Job a(eng, 0, "a", drv), b(eng, 1, "b", drv);
     Emc sharded(eng, Params{}, {});
-    sharded.set_lane_count(eng.num_lanes());
     sharded.register_job(a, Policy::kAdaptive);
     sharded.register_job(b, Policy::kAdaptive);
     for (std::uint32_t j = 0; j < kJobs; ++j) {
@@ -164,11 +161,9 @@ TEST(EmcReqDist, ShardedSplitObservationsMatchOneCallAndTheSortedFormula) {
           const std::size_t n = std::min<std::size_t>(all.size() - i, 1 + rng.uniform(6));
           std::vector<pfs::Segment> chunk(all.begin() + i, all.begin() + i + n);
           i += n;
-          eng.at_in(static_cast<sim::LaneId>(rng.uniform(eng.num_lanes())),
-                    sim::usec(rng.uniform(200)),
-                    [&sharded, j, f, chunk = std::move(chunk)] {
-                      sharded.observe(j, f, chunk, 0);
-                    });
+          eng.at(sim::usec(rng.uniform(200)), [&sharded, j, f, chunk = std::move(chunk)] {
+            sharded.observe(j, f, chunk, 0);
+          });
         }
       }
     }

@@ -1,16 +1,12 @@
 // Differential tests for the tiered event queue (sim/event_queue.hpp): the
 // ladder/timer-wheel arm is driven op-for-op against the frozen heap oracle
-// (queue_reference.cpp) under randomized schedule/cancel/batch/drain mixes,
-// and whole-engine runs are byte-compared across queue kinds. Under
+// (queue_reference.cpp) under randomized schedule/cancel/drain mixes, and
+// whole-engine runs are byte-compared across queue kinds. Under
 // DPAR_CHECK_INVARIANTS the bucket-monotonicity invariant is death-tested
 // through the queue's corruption hooks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "sim/debug.hpp"
@@ -48,20 +44,6 @@ struct QueuePair {
     return slot;
   }
 
-  std::uint32_t append(Time t) {
-    gens.push_back(1);
-    const auto slot = static_cast<std::uint32_t>(gens.size() - 1);
-    const EventKey k{t, next_seq++, slot, 1};
-    heap.append(k);
-    ladder.append(k);
-    return slot;
-  }
-
-  void commit() {
-    heap.commit_batch();
-    ladder.commit_batch();
-  }
-
   void cancel(std::uint32_t slot) {
     ++gens[slot];
     heap.note_cancel();
@@ -97,7 +79,7 @@ struct QueuePair {
 
 /// One randomized mix: pushes spanning front/wheel/tail distances (including
 /// the far-future tail and post-prefetch rewinds), cancels of pending keys,
-/// outbox-style append batches, interleaved peeks and pops.
+/// interleaved peeks and pops.
 void run_differential_mix(std::uint64_t seed, int rounds, bool far_future) {
   sim::Rng rng(seed);
   QueuePair q;
@@ -115,20 +97,13 @@ void run_differential_mix(std::uint64_t seed, int rounds, bool far_future) {
   for (int round = 0; round < rounds; ++round) {
     // Schedule a burst. next_time() in between forces ladder prefetch, so
     // later same-window pushes land behind the advanced floor (the rewind
-    // path a cross-lane barrier post exercises in the engine).
+    // path the engine's run_until peek exercises).
     const int burst = 1 + static_cast<int>(rng.uniform(24));
     for (int i = 0; i < burst; ++i) {
       pending.push_back(q.push(q.now + random_delta()));
       if (rng.chance(0.2)) {
         EXPECT_EQ(q.heap.next_time(), q.ladder.next_time());
       }
-    }
-    // Outbox-style batch: appended unsorted, committed once.
-    if (rng.chance(0.5)) {
-      const int batch = 1 + static_cast<int>(rng.uniform(40));
-      for (int i = 0; i < batch; ++i)
-        pending.push_back(q.append(q.now + random_delta()));
-      q.commit();
     }
     // Cancel-heavy churn: kill a random slice of whatever is pending.
     const int kills = static_cast<int>(rng.uniform(pending.size() + 1));
@@ -195,98 +170,49 @@ TEST(EventQueueDifferential, CancelStormLeavesBoundedQueue) {
 
 // ---- engine-level differential ------------------------------------------
 
-/// Deterministic multi-lane scenario recording every firing as
-/// (lane, time, tag); cross-lane posts ride the outbox at the lookahead
-/// horizon, timers are cancelled mid-flight, at_all batches fire in order.
-std::vector<std::uint64_t> run_engine_scenario(QueueKind kind, unsigned workers) {
-  Engine eng;
-  eng.set_queue_kind(kind);
-  const sim::LaneId l1 = eng.add_lane();
-  const sim::LaneId l2 = eng.add_lane();
-  eng.set_lookahead(1000);
-  eng.set_pdes_workers(workers);
-
-  // One trace per lane: inside a parallel window each lane is touched by
-  // exactly one worker, so per-lane appends never race, and each lane's
-  // event order is deterministic at every worker count (the global
-  // interleaving across lanes is not — which is why the traces concatenate
-  // lane-by-lane below).
-  std::array<std::vector<std::uint64_t>, 3> traces;
-  auto record = [&traces, &eng](sim::LaneId lane, Time t, std::uint32_t tag) {
-    traces[eng.current_lane()].push_back(
-        (std::uint64_t{lane} << 48) | (std::uint64_t{tag} << 32) |
-        static_cast<std::uint64_t>(t) % (std::uint64_t{1} << 32));
+/// Deterministic engine scenario recording every firing as (tag, time):
+/// timers are cancelled mid-flight, fired events schedule follow-ups, at_all
+/// batches fire in order, and an event lands at a mid-run run_until cut.
+std::vector<std::uint64_t> run_engine_scenario(QueueKind kind) {
+  Engine eng(kind);
+  std::vector<std::uint64_t> trace;
+  auto record = [&trace, &eng](std::uint32_t tag) {
+    trace.push_back((std::uint64_t{tag} << 32) |
+                    static_cast<std::uint64_t>(eng.now()) % (std::uint64_t{1} << 32));
   };
 
   sim::Rng rng(7);
   std::vector<sim::EventId> cancellable;
   for (int i = 0; i < 200; ++i) {
     const Time t = 1 + static_cast<Time>(rng.uniform(1 << 20));
-    const sim::LaneId lane = i % 3 == 0 ? 0 : (i % 3 == 1 ? l1 : l2);
     const auto tag = static_cast<std::uint32_t>(i);
-    cancellable.push_back(eng.at_in(lane, t, [&, lane, t, tag] {
-      record(lane, t, tag);
-      if (tag % 5 == 0) {
-        // Cross-lane ping past the lookahead horizon; lands via the outbox
-        // (heap bulk rebuild vs ladder bucket filing) when inside a window.
-        const sim::LaneId to = lane == l1 ? l2 : l1;
-        eng.after_in(to, 2000 + tag, [&, to, tag] { record(to, 0, 10000 + tag); });
-      }
+    cancellable.push_back(eng.at(t, [&, tag] {
+      record(tag);
+      if (tag % 5 == 0) eng.after(2000 + tag, [&record, tag] { record(10000 + tag); });
     }));
   }
   // Deterministic cancel slice: every 7th scheduled timer dies before firing.
   for (std::size_t i = 0; i < cancellable.size(); i += 7) eng.cancel(cancellable[i]);
   // Batched release: one event, callbacks in order.
   std::vector<Engine::Callback> batch;
-  for (int i = 0; i < 4; ++i)
-    batch.push_back([&record, i] { record(0, 999, 20000 + i); });
+  for (int i = 0; i < 4; ++i) batch.push_back([&record, i] { record(20000 + i); });
   eng.at_all(Time{1 << 21}, std::move(batch));
 
-  eng.run_until(Time{1 << 19});  // mid-run cut exercises bounded windows
+  eng.run_until(Time{1 << 19});
+  // The cut's peek may have moved the ladder's floor past the clock; an
+  // event scheduled at the clock must still fire first.
+  eng.after(0, [&record] { record(30000); });
   eng.check_invariants();
   eng.run();
   eng.check_invariants();
   EXPECT_TRUE(eng.empty());
-  std::vector<std::uint64_t> flat;
-  for (const auto& t : traces) flat.insert(flat.end(), t.begin(), t.end());
-  return flat;
+  return trace;
 }
 
-TEST(EventQueueDifferential, EngineRunsAreIdenticalAcrossKindsAndWorkers) {
-  const std::vector<std::uint64_t> oracle =
-      run_engine_scenario(QueueKind::kHeap, 1);
+TEST(EventQueueDifferential, EngineRunsAreIdenticalAcrossKinds) {
+  const std::vector<std::uint64_t> oracle = run_engine_scenario(QueueKind::kHeap);
   ASSERT_FALSE(oracle.empty());
-  EXPECT_EQ(run_engine_scenario(QueueKind::kLadder, 1), oracle);
-  EXPECT_EQ(run_engine_scenario(QueueKind::kHeap, 4), oracle);
-  EXPECT_EQ(run_engine_scenario(QueueKind::kLadder, 4), oracle);
-}
-
-// ---- selection plumbing --------------------------------------------------
-
-TEST(EventQueueConfig, EnvSelectionParsesAndRejectsGarbage) {
-  ::unsetenv("DPAR_ENGINE_QUEUE");
-  EXPECT_EQ(sim::queue_kind_from_env(), QueueKind::kLadder);
-  ::setenv("DPAR_ENGINE_QUEUE", "", 1);
-  EXPECT_EQ(sim::queue_kind_from_env(), QueueKind::kLadder);
-  ::setenv("DPAR_ENGINE_QUEUE", "heap", 1);
-  EXPECT_EQ(sim::queue_kind_from_env(), QueueKind::kHeap);
-  ::setenv("DPAR_ENGINE_QUEUE", "ladder", 1);
-  EXPECT_EQ(sim::queue_kind_from_env(), QueueKind::kLadder);
-  ::setenv("DPAR_ENGINE_QUEUE", "splay", 1);
-  EXPECT_THROW(sim::queue_kind_from_env(), std::invalid_argument);
-  ::unsetenv("DPAR_ENGINE_QUEUE");
-}
-
-TEST(EventQueueConfig, SwitchRefusedOnceEventsExist) {
-  Engine eng;
-  eng.set_queue_kind(QueueKind::kHeap);  // fine while empty
-  EXPECT_EQ(eng.queue_kind(), QueueKind::kHeap);
-  eng.after(10, [] {});
-  EXPECT_THROW(eng.set_queue_kind(QueueKind::kLadder), std::logic_error);
-  eng.run();
-  // Even drained, a lane that fired keeps its kind: reproducibility over
-  // convenience.
-  EXPECT_THROW(eng.set_queue_kind(QueueKind::kLadder), std::logic_error);
+  EXPECT_EQ(run_engine_scenario(QueueKind::kLadder), oracle);
 }
 
 // ---- invariant death tests ----------------------------------------------

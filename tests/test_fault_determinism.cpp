@@ -1,16 +1,17 @@
-// Cross-lane fault determinism: with per-compute-node lanes, every fault
-// stream (disk verdicts, net drops/delays, server stalls, crash schedules)
-// and the client-side timeout/retry protocol must produce byte-identical
-// results at every DPAR_PDES_WORKERS setting — workers=0 (unpartitioned
-// serial engine) is the reference the partitioned runs are diffed against.
-// Plans are randomized per seed so the suite sweeps many fault interleavings
-// instead of one hand-picked schedule.
+// Fault determinism under randomized plans: every fault stream (disk
+// verdicts, net drops/delays, server stalls, crash schedules) and the
+// client-side timeout/retry protocol must produce byte-identical results
+// when a run is repeated in one process and when runs execute concurrently
+// on ExperimentPool worker threads (1 vs 4). Plans are randomized per seed
+// so the suite sweeps many fault interleavings instead of one hand-picked
+// schedule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "determinism.hpp"
 #include "fault/plan.hpp"
 #include "harness/testbed.hpp"
 #include "metrics/fault_report.hpp"
@@ -20,7 +21,7 @@
 namespace dpar {
 namespace {
 
-/// Randomized cross-lane fault plan: probabilistic disk + server stalls and
+/// Randomized fault plan: probabilistic disk + server stalls and
 /// net faults, one transient partition between a compute node and a server,
 /// and one crash/restart window. All drawn from `seed` so a plan is
 /// reproducible and each seed exercises a different interleaving.
@@ -58,13 +59,12 @@ fault::FaultPlan random_plan(std::uint64_t seed, std::uint32_t servers,
 /// completion time, bytes, event count, the full fault ledger, and the
 /// latency distributions (mean + tail). Two runs are "byte-identical" for
 /// the determinism contract iff these strings match.
-std::string run_signature(std::uint64_t seed, int workers, bool use_dualpar) {
+std::string run_signature(std::uint64_t seed, bool use_dualpar) {
   harness::TestbedConfig cfg;
   cfg.data_servers = 4;
   cfg.compute_nodes = 3;
   cfg.cores_per_node = 4;
   cfg.keep_traces = false;
-  cfg.pdes_workers = workers;
   cfg.fault = random_plan(seed, cfg.data_servers, cfg.compute_nodes);
   harness::Testbed tb(cfg);
   wl::DemoConfig dc;
@@ -90,72 +90,38 @@ std::string run_signature(std::uint64_t seed, int workers, bool use_dualpar) {
   sig += " rd_mean=" + std::to_string(rd.mean());
   sig += " rd_p99=" + std::to_string(rd.percentile(0.99));
   sig += " wr_n=" + std::to_string(wr.count());
-  sig += "\n" + metrics::format_fault_report(tb.fault_injector()->total());
+  sig += "\n" + metrics::format_fault_report(tb.fault_injector()->counters());
   return sig;
 }
 
+// "Worker counts" are ExperimentPool thread counts: runs of different seeds
+// execute concurrently and must not perturb one another.
 TEST(PdesFaultDeterminism, VanillaByteIdenticalAcrossWorkerCounts) {
-  for (std::uint64_t seed : {0xfadeull, 0xc0deull, 0xbeefull}) {
-    const std::string w0 = run_signature(seed, 0, /*use_dualpar=*/false);
-    for (int workers : {1, 2, 8}) {
-      const std::string w = run_signature(seed, workers, false);
-      EXPECT_EQ(w0, w) << "seed " << std::hex << seed << std::dec
-                       << " workers=" << workers;
-    }
-  }
+  const std::vector<std::uint64_t> seeds = {0xfade, 0xc0de, 0xbeef};
+  determinism::expect_deterministic(seeds.size(), [&seeds](std::size_t i) {
+    return run_signature(seeds[i], /*use_dualpar=*/false);
+  });
 }
 
 TEST(PdesFaultDeterminism, DualParByteIdenticalAcrossWorkerCounts) {
-  // DualPar jobs keep the compute side on one lane (the driver is not
-  // lane-splittable), but servers still get their own lanes and the whole
-  // fault machinery — sharded RNGs, counters, EMC degraded mode — runs
-  // partitioned. The reference is still the unpartitioned engine.
-  for (std::uint64_t seed : {0xfadeull, 0xd00dull}) {
-    const std::string w0 = run_signature(seed, 0, /*use_dualpar=*/true);
-    for (int workers : {1, 2}) {
-      const std::string w = run_signature(seed, workers, true);
-      EXPECT_EQ(w0, w) << "seed " << std::hex << seed << std::dec
-                       << " workers=" << workers;
-    }
-  }
+  // DualPar adds the EMC's degraded mode, ghost pre-execution and the global
+  // cache's crash invalidation to the fault paths.
+  const std::vector<std::uint64_t> seeds = {0xfade, 0xd00d};
+  determinism::expect_deterministic(seeds.size(), [&seeds](std::size_t i) {
+    return run_signature(seeds[i], /*use_dualpar=*/true);
+  });
 }
 
 TEST(PdesFaultDeterminism, FaultLedgerIsNonTrivialUnderThePlan) {
   // Guard against the suite silently passing because nothing ever faulted:
-  // the randomized plans above must actually exercise the cross-lane paths.
+  // the randomized plans above must actually exercise the fault paths.
   const fault::FaultPlan plan = random_plan(0xfade, 4, 3);
   ASSERT_TRUE(plan.enabled());
-  const std::string sig = run_signature(0xfade, 1, /*use_dualpar=*/false);
+  const std::string sig = run_signature(0xfade, /*use_dualpar=*/false);
   // The ledger rides inside the signature; spot-check the live streams.
   EXPECT_NE(sig.find("disk_stalls"), std::string::npos);
   EXPECT_NE(sig.find("server_crashes"), std::string::npos);
 }
-
-#if DPAR_CHECK_INVARIANTS
-TEST(EnginePdesDeath, CrossLaneCancelInsideWindowTripsAssert) {
-  // The cancel-safe timeout protocol requires every cancel to come from the
-  // lane that owns the event; a cancel reaching across lanes inside a
-  // parallel window races the target lane's execution cursor.
-  EXPECT_DEATH(
-      {
-        sim::Engine eng;
-        const sim::LaneId a = eng.add_lane();
-        const sim::LaneId b = eng.add_lane();
-        eng.set_lookahead(sim::usec(50));
-        eng.set_pdes_workers(1);
-        // Armed from setup (outside any window): a timeout-like event in b.
-        const sim::EventId timeout = eng.at_in(b, sim::usec(500), [] {});
-        eng.at_in(a, sim::usec(1), [&eng, timeout] {
-          // Inside a's window: cancelling b's event crosses the lane
-          // boundary mid-window — exactly what generation tags exist to
-          // avoid. The invariant layer must abort, not corrupt b's heap.
-          eng.cancel(timeout);
-        });
-        eng.run();
-      },
-      "cross-lane cancel");
-}
-#endif
 
 }  // namespace
 }  // namespace dpar

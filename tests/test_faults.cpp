@@ -56,7 +56,7 @@ RunOut run_demo(harness::TestbedConfig cfg, bool use_dualpar,
   out.events = tb.run();
   out.completion = job.completion_time();
   out.bytes = job.total_bytes();
-  if (tb.fault_injector()) out.counters = tb.fault_injector()->total();
+  if (tb.fault_injector()) out.counters = tb.fault_injector()->counters();
   out.emc_degraded_at_end = tb.emc().degraded();
   return out;
 }

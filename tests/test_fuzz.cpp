@@ -223,7 +223,7 @@ TEST(FuzzFaults, RandomTransientPlansNeverHangOrLeakRequests) {
     ASSERT_NO_THROW(tb.run(50'000'000)) << "round " << round;
     EXPECT_TRUE(job.finished()) << "round " << round;
     EXPECT_TRUE(tb.engine().empty()) << "round " << round;
-    const auto c = tb.fault_injector()->total();
+    const auto c = tb.fault_injector()->counters();
     EXPECT_EQ(c.client_ops_started, c.client_ops_finished)
         << "round " << round << ": leaked in-flight requests";
   }

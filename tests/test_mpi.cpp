@@ -2,6 +2,7 @@
 // program cloning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -82,6 +83,33 @@ TEST(MpiJob, BarrierSynchronizesRanks) {
     EXPECT_GE(job.process(r).finish_time(), sim::msec(31));
   // And not much later than that.
   EXPECT_LT(job.process(0).finish_time(), sim::msec(33));
+}
+
+TEST(MpiJob, BarrierCompletedByAFinishingRankReleasesAtItsEnd) {
+  // Rank 3 never enters the barrier: its end completes the barrier the
+  // other ranks wait on, so they resume at rank 3's end plus the barrier
+  // cost, not at the last entry.
+  harness::Testbed tb(small_config());
+  auto& job = tb.add_job("t", 4, tb.vanilla(), [&](std::uint32_t rank) {
+    std::vector<Op> ops;
+    if (rank == 3) {
+      ops.push_back(OpCompute{sim::msec(20)});
+    } else {
+      ops.push_back(OpCompute{sim::msec(rank + 1)});
+      ops.push_back(OpBarrier{});
+      ops.push_back(OpCompute{sim::msec(1)});
+    }
+    return std::make_unique<ScriptProgram>(std::move(ops));
+  }, dualpar::Policy::kForcedNormal);
+  tb.run();
+  EXPECT_EQ(job.process(3).finish_time(), sim::msec(20));
+  // Three live ranks: 2 * bit_width(2) = 4 hops of 150 us each.
+  const sim::Time release = sim::msec(20) + 4 * sim::usec(150);
+  EXPECT_EQ(job.process(0).finish_time(), release + sim::msec(1));  // 21.6 ms
+  sim::Time last_end = 0;
+  for (std::uint32_t r = 0; r < 4; ++r)
+    last_end = std::max(last_end, job.process(r).finish_time());
+  EXPECT_EQ(job.completion_time(), last_end);
 }
 
 TEST(MpiJob, IoRatioProbesSeparateComputeFromIo) {

@@ -1,8 +1,8 @@
 // N-way chunk replication: placement maps, replicated write fan-out,
 // degraded reads with transparent failover, background re-replication, and
 // the durability ledger. The byte-identity contract extends to replicated
-// runs: a (seed, plan, rf, placement) tuple must produce the same output at
-// every DPAR_PDES_WORKERS value, workers=0 (serial engine) as reference.
+// runs: a (seed, plan, rf, placement) tuple must produce the same output on
+// every repeat and on ExperimentPool threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "determinism.hpp"
 #include "fault/plan.hpp"
 #include "harness/testbed.hpp"
 #include "metrics/fault_report.hpp"
@@ -135,7 +136,7 @@ TEST(ReplicationConfig, ValidateRejectsMalformedConfigs) {
 // Replicated runs: determinism across worker counts
 // ---------------------------------------------------------------------------
 
-/// Same shape as test_pdes_faults' random_plan: probabilistic faults, one
+/// Same shape as test_fault_determinism's random_plan: probabilistic faults, one
 /// transient partition, one crash/restart window, all drawn from `seed`.
 fault::FaultPlan random_plan(std::uint64_t seed, std::uint32_t servers,
                              std::uint32_t compute_nodes) {
@@ -172,11 +173,9 @@ struct TrackerLog {
 };
 
 /// Mid-run cut points for the tracker differential. From the first server
-/// transition on, an exclusive-lane event every kCutStep compares the
-/// tracker's incremental under-replicated count with report()'s independent
-/// full scan, for as long as jobs or repairs are live. Exclusive-lane events
-/// run with every lane paused at the same simulated time, so each one is a
-/// consistent cut at any DPAR_PDES_WORKERS value.
+/// transition on, an event every kCutStep compares the tracker's
+/// incremental under-replicated count with report()'s independent full
+/// scan, for as long as jobs or repairs are live.
 class CutProbe {
  public:
   CutProbe(harness::Testbed& tb, TrackerLog& log) : tb_(tb), log_(log) {
@@ -194,8 +193,7 @@ class CutProbe {
   static constexpr sim::Time kCutStep = sim::msec(7);
 
   void arm_() {
-    sim::Engine& eng = tb_.engine();
-    eng.after_in(eng.exclusive_lane(), kCutStep, [this] { cut_(); });
+    tb_.engine().after(kCutStep, [this] { cut_(); });
   }
 
   void cut_() {
@@ -220,16 +218,14 @@ class CutProbe {
 /// Everything a replicated run observably produces, flattened: completion,
 /// bytes, events, latency tails, the fault ledger AND the durability report.
 /// With `cuts`, the run also carries a CutProbe and the signature its tally.
-std::string rep_signature(const fault::FaultPlan& plan, int workers,
-                          std::uint32_t rf, replica::Placement placement,
-                          replica::WriteFanout fanout,
+std::string rep_signature(const fault::FaultPlan& plan, std::uint32_t rf,
+                          replica::Placement placement, replica::WriteFanout fanout,
                           TrackerLog* cuts = nullptr) {
   harness::TestbedConfig cfg;
   cfg.data_servers = 4;
   cfg.compute_nodes = 3;
   cfg.cores_per_node = 4;
   cfg.keep_traces = false;
-  cfg.pdes_workers = workers;
   cfg.replica.replication_factor = rf;
   cfg.replica.placement = placement;
   cfg.replica.fanout = fanout;
@@ -261,7 +257,7 @@ std::string rep_signature(const fault::FaultPlan& plan, int workers,
   const sim::Histogram lat = reader.read_latency();
   sig += " rd_n=" + std::to_string(lat.count());
   sig += " rd_p99=" + std::to_string(lat.percentile(0.99));
-  sig += "\n" + metrics::format_fault_report(tb.fault_injector()->total());
+  sig += "\n" + metrics::format_fault_report(tb.fault_injector()->counters());
   sig += metrics::format_replica_report(tb.replica_manager()->report());
   if (cuts) {
     sig += "cuts=" + std::to_string(cuts->cuts) +
@@ -300,8 +296,8 @@ fault::FaultPlan tracker_plan(const TrackerCase& c) {
   return plan;
 }
 
-std::string tracker_signature(const TrackerCase& c, int workers, TrackerLog& log) {
-  return rep_signature(tracker_plan(c), workers, c.rf, c.placement, c.fanout, &log);
+std::string tracker_signature(const TrackerCase& c, TrackerLog& log) {
+  return rep_signature(tracker_plan(c), c.rf, c.placement, c.fanout, &log);
 }
 
 TEST(ReplicationDeterminism, ByteIdenticalAcrossWorkerCounts) {
@@ -316,36 +312,29 @@ TEST(ReplicationDeterminism, ByteIdenticalAcrossWorkerCounts) {
       {0xc0de, 3, replica::Placement::kRackAware, replica::WriteFanout::kStar},
       {0xbeef, 3, replica::Placement::kNodeLocal, replica::WriteFanout::kChain},
   };
-  for (const Case& c : cases) {
-    const fault::FaultPlan plan = random_plan(c.seed, 4, 3);
-    const std::string w0 = rep_signature(plan, 0, c.rf, c.placement, c.fanout);
-    for (int workers : {1, 4}) {
-      const std::string w =
-          rep_signature(plan, workers, c.rf, c.placement, c.fanout);
-      EXPECT_EQ(w0, w) << "seed " << std::hex << c.seed << std::dec << " rf "
-                       << c.rf << " workers=" << workers;
-    }
-  }
-  // The tracker differential's plans, cut probe included.
-  for (const TrackerCase& c : kTrackerCases) {
-    TrackerLog log0;
-    const std::string w0 = tracker_signature(c, 0, log0);
-    for (int workers : {1, 4}) {
-      TrackerLog log;
-      EXPECT_EQ(w0, tracker_signature(c, workers, log))
-          << "tracker seed " << std::hex << c.seed << std::dec
-          << " workers=" << workers;
-      EXPECT_EQ(log.first_mismatch, "") << "workers=" << workers;
-    }
-  }
+  // "Worker counts" are ExperimentPool thread counts.
+  determinism::expect_deterministic(std::size(cases), [&cases](std::size_t i) {
+    const Case& c = cases[i];
+    return rep_signature(random_plan(c.seed, 4, 3), c.rf, c.placement, c.fanout);
+  });
+  // The tracker differential's plans, cut probe included: a cut that saw the
+  // incremental count disagree with the full scan shows in the signature.
+  const std::vector<std::string> tracker = determinism::expect_deterministic(
+      std::size(kTrackerCases), [](std::size_t i) {
+        TrackerLog log;
+        const std::string sig = tracker_signature(kTrackerCases[i], log);
+        return sig + "first_mismatch=" + log.first_mismatch;
+      });
+  for (const std::string& sig : tracker)
+    EXPECT_TRUE(sig.ends_with("first_mismatch=")) << sig;
 }
 
 TEST(ReplicationDeterminism, LedgerIsNonTrivialUnderThePlan) {
   // Guard against the determinism sweep passing vacuously: the randomized
   // plans must actually invalidate copies and drive repair traffic.
   const std::string sig =
-      rep_signature(random_plan(0xfade, 4, 3), 1, 2,
-                    replica::Placement::kRotational, replica::WriteFanout::kStar);
+      rep_signature(random_plan(0xfade, 4, 3), 2, replica::Placement::kRotational,
+                    replica::WriteFanout::kStar);
   EXPECT_NE(sig.find("server_crashes: 1"), std::string::npos) << sig;
   EXPECT_EQ(sig.find("chunks_invalidated: 0\n"), std::string::npos) << sig;
   EXPECT_EQ(sig.find("repair_ops_completed: 0\n"), std::string::npos) << sig;
@@ -366,7 +355,7 @@ TEST(ReplicationTracker, IncrementalCountMatchesFullScanAtEveryCut) {
                  std::to_string(c.rf) + " " + to_string(c.placement) +
                  (c.fail_stop ? " fail-stop" : " restarting"));
     TrackerLog log;
-    tracker_signature(c, 0, log);
+    tracker_signature(c, log);
     EXPECT_EQ(log.first_mismatch, "");
     EXPECT_EQ(log.final_incremental, log.final_report.under_replicated_now);
     // Non-vacuity: the probe ran through the outage and saw deficits.
@@ -454,7 +443,7 @@ DurabilityOut run_single_crash(std::uint64_t seed, std::uint32_t rf,
                                 dualpar::Policy::kForcedNormal);
   tb.run();
   return DurabilityOut{tb.replica_manager()->report(),
-                       tb.fault_injector()->total(), reader.total_bytes()};
+                       tb.fault_injector()->counters(), reader.total_bytes()};
 }
 
 TEST(ReplicationDurability, SingleRestartingCrashLosesNothingAtRf2Plus) {
@@ -581,7 +570,6 @@ TEST(ReplicationDeath, OutOfRangeInvalidationNoteTripsAssert) {
     cfg.data_servers = 4;
     cfg.compute_nodes = 1;
     cfg.cores_per_node = 1;
-    cfg.pdes_workers = 0;
     cfg.replica.replication_factor = 2;
     harness::Testbed tb(cfg);
     const pfs::FileId file = tb.create_file("f", 1ull << 20);  // 16 chunks

@@ -188,7 +188,7 @@ Out run(bool use_dualpar, sim::Time crash_at, sim::Time restart_at) {
   out.completion = job.completion_time();
   out.bytes = job.total_bytes();
   out.degraded_at_end = tb.emc().degraded();
-  if (tb.fault_injector()) out.counters = tb.fault_injector()->total();
+  if (tb.fault_injector()) out.counters = tb.fault_injector()->counters();
   return out;
 }
 

@@ -5,11 +5,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "sim/debug.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
@@ -326,7 +324,7 @@ TEST(Rng, ContentHashIsDeterministicAndSpread) {
   EXPECT_NE(content_hash(1, 100), content_hash(2, 100));
 }
 
-// ---- Conservative-PDES lane tests ----
+// ---- Batched events ----
 
 TEST(EngineBatch, AtAllFiresInOrderAsOneEvent) {
   Engine eng;
@@ -353,200 +351,6 @@ TEST(EngineBatch, EmptyBatchIsNoEventAndCancellable) {
   eng.run();
   EXPECT_EQ(eng.events_fired(), 0u);
 }
-
-TEST(EnginePdes, UnpartitionedIgnoresWorkerCount) {
-  Engine eng;
-  eng.set_pdes_workers(8);
-  EXPECT_FALSE(eng.partitioned());
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) eng.at(msec(i), [&order, i] { order.push_back(i); });
-  eng.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(EnginePdes, PartitionedRunNeedsLookahead) {
-  Engine eng;
-  eng.add_lane();
-  EXPECT_TRUE(eng.partitioned());
-  eng.at(usec(1), [] {});
-  EXPECT_THROW(eng.run(), std::logic_error);
-  eng.set_lookahead(usec(50));
-  EXPECT_NO_THROW(eng.run());
-}
-
-TEST(EnginePdes, StepRejectsPartitionedEngines) {
-  Engine eng;
-  eng.add_lane();
-  EXPECT_THROW(eng.step(), std::logic_error);
-}
-
-TEST(EnginePdes, RunUntilPausesEveryLaneAtTheCut) {
-  Engine eng;
-  const LaneId a = eng.add_lane();
-  const LaneId b = eng.add_lane();
-  eng.set_lookahead(usec(50));
-  eng.set_pdes_workers(2);
-  std::vector<int> fired;
-  eng.at_in(a, usec(10), [&] { fired.push_back(10); });
-  eng.at_in(b, usec(20), [&] { fired.push_back(20); });
-  eng.at_in(a, msec(1), [&] { fired.push_back(1000); });  // exactly the cut
-  eng.at_in(b, msec(2), [&] { fired.push_back(2000); });  // past the cut
-  eng.run_until(msec(1));
-  EXPECT_EQ(fired, (std::vector<int>{10, 20, 1000}));
-  EXPECT_EQ(eng.now(), msec(1));
-  EXPECT_EQ(eng.live_events(), 1u);
-  eng.run();
-  EXPECT_EQ(fired, (std::vector<int>{10, 20, 1000, 2000}));
-}
-
-TEST(EnginePdes, CrossLanePostsDeliverAtTheirTimestamp) {
-  Engine eng;
-  const LaneId a = eng.add_lane();
-  const LaneId b = eng.add_lane();
-  eng.set_lookahead(usec(50));
-  eng.set_pdes_workers(1);
-  std::vector<Time> b_times;
-  eng.at_in(a, usec(10), [&] {
-    // Cross-lane from inside a's window: must land >= one lookahead out.
-    eng.after_in(b, usec(50) + usec(3), [&] { b_times.push_back(eng.now()); });
-    eng.after_in(b, usec(50) + usec(1), [&] { b_times.push_back(eng.now()); });
-  });
-  eng.run();
-  EXPECT_EQ(b_times, (std::vector<Time>{usec(61), usec(63)}));
-  EXPECT_EQ(eng.events_fired(), 3u);
-}
-
-TEST(EnginePdes, ExclusiveEventSeesEveryLaneQuiescent) {
-  Engine eng;
-  const LaneId a = eng.add_lane();
-  const LaneId b = eng.add_lane();
-  eng.add_exclusive_lane();
-  eng.set_lookahead(usec(50));
-  eng.set_pdes_workers(2);
-  // Both lanes count up in small steps; the exclusive probe at t reads both
-  // counters and must see exactly the events with time < t.
-  auto counts = std::make_shared<std::array<int, 2>>();
-  std::function<void(LaneId, int)> ticker = [&](LaneId lane, int left) {
-    if (left == 0) return;
-    eng.after_in(lane, usec(7), [&, lane, left] {
-      ++(*counts)[lane == a ? 0 : 1];
-      ticker(lane, left - 1);
-    });
-  };
-  ticker(a, 40);  // fires at 7, 14, ..., 280 us
-  ticker(b, 40);
-  std::vector<std::array<int, 2>> probes;
-  for (int i = 1; i <= 3; ++i) {
-    eng.at_in(eng.exclusive_lane(), usec(100) * i, [&] {
-      probes.push_back(*counts);
-    });
-  }
-  eng.run();
-  // floor(100/7) = 14 events strictly before each probe per lane.
-  ASSERT_EQ(probes.size(), 3u);
-  EXPECT_EQ(probes[0], (std::array<int, 2>{14, 14}));
-  EXPECT_EQ(probes[1], (std::array<int, 2>{28, 28}));
-  EXPECT_EQ(probes[2], (std::array<int, 2>{40, 40}));
-}
-
-/// One randomized cross-lane workload, executed at a given worker count.
-/// Every event logs (time, tag) into its lane's private log; an exclusive
-/// probe logs the total log size it observes. Returns the per-lane logs
-/// concatenated in lane order — the full deterministic execution order.
-std::vector<std::array<std::int64_t, 3>> pdes_scenario(unsigned workers,
-                                                       std::uint64_t seed) {
-  Engine eng;
-  constexpr std::uint32_t kLanes = 5;
-  std::vector<LaneId> lanes;
-  for (std::uint32_t i = 0; i < kLanes; ++i) lanes.push_back(eng.add_lane());
-  const LaneId excl = eng.add_exclusive_lane();
-  eng.set_lookahead(usec(50));
-  eng.set_pdes_workers(workers);
-
-  const std::uint32_t slots = eng.num_lanes();
-  std::vector<std::vector<std::array<std::int64_t, 3>>> logs(slots);
-  // One RNG per lane: only the lane's own events draw from it, so the
-  // stream is identical at any worker count.
-  std::vector<Rng> rngs;
-  for (std::uint32_t i = 0; i < slots; ++i) rngs.emplace_back(splitmix64(seed + i));
-
-  // Each event logs itself, then schedules local follow-ups and (sometimes)
-  // a cross-lane hop at least one lookahead out.
-  std::function<void(LaneId, int, int)> chain = [&](LaneId lane, int budget, int tag) {
-    logs[lane].push_back({eng.now(), lane, tag});
-    if (budget <= 0) return;
-    Rng& rng = rngs[lane];
-    eng.after(usec(1 + rng.uniform(30)),
-              [&chain, lane, budget, tag] { chain(lane, budget - 1, tag + 1); });
-    if (rng.chance(0.4)) {
-      const LaneId to = lanes[rng.uniform(kLanes)];
-      eng.after_in(to, usec(50) + usec(rng.uniform(20)),
-                   [&chain, to, budget, tag] { chain(to, budget / 2, tag + 1000); });
-    }
-  };
-  for (std::uint32_t i = 0; i < kLanes; ++i) {
-    const LaneId lane = lanes[i];
-    eng.at_in(lane, usec(i), [&chain, lane] { chain(lane, 24, 0); });
-  }
-  // The exclusive probe reads every lane's log — cross-lane state — which is
-  // only legal because all lanes are quiescent when it runs.
-  std::function<void(int)> probe = [&](int left) {
-    std::int64_t total = 0;
-    for (const auto& l : logs) total += static_cast<std::int64_t>(l.size());
-    logs[excl].push_back({eng.now(), excl, total});
-    if (left > 0) eng.after_in(excl, usec(100), [&probe, left] { probe(left - 1); });
-  };
-  eng.at_in(excl, usec(100), [&probe] { probe(8); });
-  eng.run();
-
-  std::vector<std::array<std::int64_t, 3>> flat;
-  for (const auto& l : logs) flat.insert(flat.end(), l.begin(), l.end());
-  return flat;
-}
-
-TEST(EnginePdes, RandomizedCrossLaneOrderIsIdenticalAt1v2v8Workers) {
-  for (std::uint64_t seed : {0x5eedull, 0xfeedull, 0xabcdull}) {
-    const auto w1 = pdes_scenario(1, seed);
-    const auto w2 = pdes_scenario(2, seed);
-    const auto w8 = pdes_scenario(8, seed);
-    ASSERT_GT(w1.size(), 100u) << "scenario too small to mean anything";
-    EXPECT_EQ(w1, w2) << "seed " << seed;
-    EXPECT_EQ(w1, w8) << "seed " << seed;
-  }
-}
-
-#if DPAR_CHECK_INVARIANTS
-TEST(EnginePdesDeath, OutOfLookaheadCrossLanePostTripsAssert) {
-  EXPECT_DEATH(
-      {
-        Engine eng;
-        const LaneId a = eng.add_lane();
-        const LaneId b = eng.add_lane();
-        eng.set_lookahead(usec(50));
-        eng.set_pdes_workers(1);
-        eng.at_in(a, usec(1), [&eng, b] {
-          // Inside a's window: a cross-lane post closer than the lookahead
-          // violates the conservative protocol.
-          eng.at_in(b, eng.now() + usec(1), [] {});
-        });
-        eng.run();
-      },
-      "cross-lane event inside the lookahead window");
-}
-#else
-TEST(EnginePdesDeath, OutOfLookaheadCrossLanePostThrowsReleaseBackstop) {
-  // Without the invariant layer the outbox still refuses to deliver an event
-  // behind the target lane's clock at the window barrier.
-  Engine eng;
-  const LaneId a = eng.add_lane();
-  const LaneId b = eng.add_lane();
-  eng.set_lookahead(usec(50));
-  eng.set_pdes_workers(1);
-  eng.at_in(b, usec(20), [] {});  // advances b's clock past the bad post
-  eng.at_in(a, usec(1), [&eng, b] { eng.at_in(b, usec(2), [] {}); });
-  EXPECT_THROW(eng.run(), std::logic_error);
-}
-#endif  // DPAR_CHECK_INVARIANTS
 
 }  // namespace
 }  // namespace dpar::sim

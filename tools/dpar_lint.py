@@ -26,15 +26,6 @@ contract"):
   uninit-config   Scalar POD members of *Config/*Params structs without an
                   initializer. An uninitialized parameter silently picks up
                   stack garbage and changes results run to run.
-  pdes-lane-channel
-                  Direct Engine at()/after() calls in a designated cross-LP
-                  file (PDES_CHANNEL_FILES). Those paths schedule work that
-                  can land in another logical process's lane; they must go
-                  through the lane-channel API (at_in/after_in, or
-                  at_all/after_all for fan-out) so the conservative-PDES
-                  lookahead contract is enforced at the call site. A plain
-                  at()/after() that provably stays in the current lane takes
-                  the allow() escape with a justification.
   event-queue     std::priority_queue / make_heap / push_heap / pop_heap in
                   src/. Hand-rolled timer queues bypass the engine's tiered
                   event queue (sim::EventQueue): cancels degrade to O(n) and
@@ -50,9 +41,7 @@ contract"):
                   next real violation at that site. Every allow must still
                   be load-bearing; remove it (or re-justify it against the
                   line it now covers) when the code it excused is gone.
-                  Allows naming rules this linter does not own — e.g.
-                  dpar_analyze's cross-lane-post / lane-capture /
-                  exclusive-lane-write / nondet-feeds-post — are skipped,
+                  Allows naming rules this linter does not own are skipped,
                   not flagged: the comment namespace is shared across tools.
 
 Escape hatch: a finding is suppressed by `dpar-lint: allow(<rule>)` in a
@@ -88,8 +77,6 @@ RULES = {
     "pointer-key": "pointer-keyed ordered container (pointer order is "
                    "allocator order, different every run)",
     "uninit-config": "uninitialized POD member in a *Config/*Params struct",
-    "pdes-lane-channel": "direct Engine at()/after() in a cross-LP path "
-                         "(route through at_in/after_in or at_all/after_all)",
     "event-queue": "hand-rolled heap/priority-queue in src/ "
                    "(schedule through sim::Engine / sim::EventQueue)",
     "stale-allow": "dpar-lint: allow() comment that suppresses no finding "
@@ -111,24 +98,9 @@ RULE_EXEMPT_FILES = {
 
 # Files where a rule applies at all (relative to the repo root). Entries
 # ending in "/" are directory prefixes; the rest are exact paths. Rules not
-# listed here apply everywhere. pdes-lane-channel covers every tree that
-# schedules events across logical-process boundaries now that compute nodes
-# are per-node lanes: the MPI runtime (barriers, P2P), the MPI-IO client
-# stack, DualPar's scheduler/CRM, and the fault injector's timeout/retry
-# protocol. The fixtures are listed so the self-test corpus exercises the
-# rule.
+# listed here apply everywhere. The fixtures are listed so the self-test
+# corpus exercises each scoped rule.
 RULE_ONLY_FILES = {
-    "pdes-lane-channel": {
-        "src/net/network.cpp",
-        "src/metrics/monitor.cpp",
-        "src/mpi/",
-        "src/mpiio/",
-        "src/dualpar/",
-        "src/fault/",
-        "src/replica/",
-        "tools/lint_fixtures/bad.cpp",
-        "tools/lint_fixtures/good.cpp",
-    },
     # event-queue only polices the simulator tree: bench/ keeps its frozen
     # LegacyEngine priority_queue baseline, and tests may build ad-hoc heaps
     # as oracles.
@@ -212,14 +184,6 @@ EVENT_QUEUE_PATTERNS = [
     re.compile(r"\bstd\s*::\s*priority_queue\b"),
     re.compile(r"(?:\bstd\s*::\s*|(?<![\w:]))(?:make|push|pop|sort)_heap\s*\("),
 ]
-
-# Direct Engine scheduling in a cross-LP file: an engine-named receiver
-# (`eng_`, `engine()`, ...) followed by `.at(` or `.after(`. The lane-routed
-# variants (`at_in`, `after_in`) and the batch variants (`at_all`,
-# `after_all`) do not match because the call name must end at the `(`.
-PDES_CHANNEL_RE = re.compile(
-    r"\beng\w*\s*(?:\(\s*\))?\s*(?:\.|->)\s*(?:at|after)\s*\("
-)
 
 
 class Finding:
@@ -318,7 +282,7 @@ def lint_file(path, rel, text, project_unordered, use_libclang=False):
             return
         findings.append(Finding(rel, idx + 1, rule, detail))
 
-    # wall-clock + raw-random + pdes-lane-channel: line-local patterns.
+    # wall-clock + raw-random + event-queue: line-local patterns.
     for idx, line in enumerate(clean):
         for pat in WALL_CLOCK_PATTERNS:
             if pat.search(line):
@@ -328,8 +292,6 @@ def lint_file(path, rel, text, project_unordered, use_libclang=False):
             if pat.search(line):
                 emit(idx, "raw-random", RULES["raw-random"])
                 break
-        if PDES_CHANNEL_RE.search(line):
-            emit(idx, "pdes-lane-channel", RULES["pdes-lane-channel"])
         for pat in EVENT_QUEUE_PATTERNS:
             if pat.search(line):
                 emit(idx, "event-queue", RULES["event-queue"])

@@ -90,39 +90,6 @@ struct AdHocTimerQueue {
   }
 };
 
-// ---- pdes-lane-channel ---------------------------------------------------
-// This fixture file is in RULE_ONLY_FILES for the rule, standing in for a
-// cross-LP path like src/net/network.cpp.
-struct FakeEngine {
-  template <class F> void at(long, F) {}
-  template <class F> void after(long, F) {}
-  template <class F> void at_in(int, long, F) {}
-};
-struct CrossLaneSite {
-  FakeEngine eng_;
-  FakeEngine& engine() { return eng_; }
-  void deliver() {
-    eng_.at(10, [] {});                 // expect(pdes-lane-channel)
-    eng_.after(5, [] {});               // expect(pdes-lane-channel)
-    engine().after(5, [] {});           // expect(pdes-lane-channel)
-  }
-};
-
-// Timeout arm/cancel idiom gone wrong: the retry timeout for a robust I/O
-// attempt is armed with a plain after(), so on a partitioned engine it lands
-// in whatever lane happens to be running — the server's reply (delivered to
-// the client's lane) then races the timeout instead of deterministically
-// cancelling it.
-struct BadRetryClient {
-  FakeEngine eng_;
-  long timeout_ev_ = 0;
-  void start_attempt() {
-    eng_.after(1000, [this] { on_timeout(); });  // expect(pdes-lane-channel)
-  }
-  void on_reply() { timeout_ev_ = 0; }
-  void on_timeout() { start_attempt(); }
-};
-
 // ---- stale-allow ----------------------------------------------------------
 // A suppression whose offending line was refactored away: nothing on or
 // under this comment matches [raw-random] any more, so the allow is inert —

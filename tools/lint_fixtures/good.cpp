@@ -71,7 +71,7 @@ struct TunableParams {
 
 // Heap-adjacent identifiers and sanctioned orderings the event-queue rule
 // must not flag: sorting is fine (only the heap family is banned), names
-// merely containing "heap" are not calls of it, and a genuinely lane-local
+// merely containing "heap" are not calls of it, and a genuinely local
 // scratch heap takes the allow escape with a justification.
 struct ScratchRanking {
   std::vector<int> scores_;
@@ -85,61 +85,13 @@ struct ScratchRanking {
   }
 };
 
-// Cross-LP file (this fixture stands in for one via RULE_ONLY_FILES): the
-// lane-routed and batch scheduling calls are the sanctioned channel, and a
-// provably lane-local call takes the allow escape with a justification.
-struct FakeEngine {
-  template <class F> void at(long, F) {}
-  template <class F> void after(long, F) {}
-  template <class F> void at_in(int, long, F) {}
-  template <class F> void after_in(int, long, F) {}
-  template <class F> void at_all(long, F) {}
-  template <class F> void after_all(long, F) {}
-};
-struct CrossLaneSite {
-  FakeEngine eng_;
-  void deliver() {
-    eng_.at_in(2, 10, [] {});
-    eng_.after_in(2, 5, [] {});
-    eng_.after_all(5, [] {});
-    // dpar-lint: allow(pdes-lane-channel) loopback stays in the sender's lane
-    eng_.after(5, [] {});
-  }
-};
-
-// The sanctioned timeout arm/cancel idiom for the robust I/O retry protocol:
-// the timeout is armed in the *client node's own lane* via after_in, tagged
-// with an attempt generation, and the server's reply — itself delivered to
-// the client's lane through the network channel — cancels it from that same
-// lane. Both event and cancel live in one lane, so the race is resolved by
-// simulated time alone at every worker count.
-struct RetryClient {
-  FakeEngine eng_;
-  int lane_ = 3;
-  long timeout_ev_ = 0;
-  unsigned attempt_ = 0;
-  void start_attempt() {
-    const unsigned gen = ++attempt_;
-    eng_.after_in(lane_, 1000, [this, gen] { on_timeout(gen); });
-  }
-  void on_reply() {
-    // In-lane cancel: Engine::cancel asserts the event belongs to the
-    // calling lane, which this idiom guarantees by construction.
-    timeout_ev_ = 0;
-  }
-  void on_timeout(unsigned gen) {
-    if (gen == attempt_) start_attempt();  // stale generations are no-ops
-  }
-};
-
 // Allows the stale-allow pass must NOT flag: rule names owned by other
-// tools sharing the `dpar-lint:` comment namespace (here dpar_analyze's
-// cross-lane-post) are skipped rather than reported, and a used allow —
-// like every one above in this file — is load-bearing by definition.
+// tools sharing the `dpar-lint:` comment namespace are skipped rather than
+// reported, and a used allow — like every one above in this file — is
+// load-bearing by definition.
 struct OtherToolEscape {
-  FakeEngine eng_;
-  // dpar-lint: allow(cross-lane-post) self-delivery, never leaves the lane
-  void loopback() { eng_.at_in(2, 10, [] {}); }
+  // dpar-lint: allow(other-tool-rule) owned by a different checker
+  void foreign() {}
 };
 
 }  // namespace fixture

@@ -2,7 +2,7 @@
 """CI perf-smoke gate over bench_micro's perf accounting.
 
 Reads the dpar-bench-perf-v1 JSON that bench_micro appends to
-BENCH_sim_core.json (or DPAR_BENCH_JSON) and applies two checks:
+BENCH_sim_core.json (or DPAR_BENCH_JSON) and applies these checks:
 
 1. Machine-independent ratio gates: the flat schedulers must sustain at
    least MIN_DUTY_RATIO x the events/sec of their retained multimap
@@ -13,12 +13,6 @@ BENCH_sim_core.json (or DPAR_BENCH_JSON) and applies two checks:
    checked-in baseline must reach (1 - MAX_REGRESSION) x its baseline
    events/sec. This catches large regressions on comparable hardware;
    the ratio gates above are the authoritative cross-machine signal.
-3. PDES worker sweep: BM_PdesSweep/N reports engine events per wall
-   second at N workers. The workers=4 rate must reach
-   MIN_PDES_SPEEDUP x the workers=1 rate -- but only when the machine
-   actually has >= 4 hardware threads (the sweep also records
-   PdesSweep/hw_threads); on smaller machines the per-worker rates are
-   printed as tracked-only.
 
 On a fresh clone the baseline file may not exist yet; in that case this
 script seeds it from the current run's rates and reports success, so the
@@ -36,9 +30,7 @@ import sys
 MAX_REGRESSION = 0.30
 MIN_DUTY_RATIO = 1.3
 MIN_DECOMPOSE_SPEEDUP = 2.0
-MIN_PDES_SPEEDUP = 2.0
 MIN_QUEUE_SPEEDUP = 1.5
-MIN_HW_THREADS_FOR_PDES_GATE = 4
 # Figure/table bench sections are gated as whole-suite events/sec rates
 # (total engine events / total wall): per-experiment walls at DPAR_SCALE=64
 # are sub-second and noisy, the suite aggregate is stable — especially under
@@ -60,29 +52,19 @@ REQUIRED_LABELS = ("BM_RepairThroughput",
 
 
 def label_config(label):
-    """Human description of the engine configuration behind a benchmark
-    label, so a gated regression names the lane/worker setup that produced
-    it instead of just an aggregate events/sec number."""
-    if label.startswith("BM_PdesSweep/"):
-        try:
-            workers = int(label.split("/")[1])
-        except (ValueError, IndexError):
-            return None
-        return f"PDES workers={workers}, 3x BTIO @ 256 procs"
-    if label.startswith("BM_LaneOutboxDrain"):
-        return "256 lanes, fan-8 cross-lane posts per window, workers=1"
-    if label.startswith("BM_LpChannelHandoff"):
-        return "2 lanes ping-pong at lookahead, workers=1"
+    """Human description of the configuration behind a benchmark label, so
+    a gated regression names the setup that produced it instead of just an
+    aggregate events/sec number."""
     if label.startswith("BM_RepairThroughput"):
         return ("rf=3 repair after a 5-40 ms server crash, 400 MB/s repair "
                 "cap, 32 MB foreground demo job")
     if label.startswith("BM_EventQueueSweep/"):
         kind = label.rsplit("_", 1)[-1]
-        return (f"DPAR_ENGINE_QUEUE={kind}: 32k standing timeout timers, "
+        return (f"{kind} queue: 32k standing timeout timers, "
                 "64 rounds of 512 cancel+re-arm churn")
     if label.startswith("BM_EventQueueTimerChurn/"):
         kind = label.rsplit("/", 1)[-1]
-        return (f"DPAR_ENGINE_QUEUE={kind}: 4096 self-re-arming timers, "
+        return (f"{kind} queue: 4096 self-re-arming timers, "
                 "64k fired events")
     if label.startswith(FIGURE_PREFIX):
         return ("whole figure/table bench suite at DPAR_SCALE: total engine "
@@ -220,62 +202,10 @@ def gate_scaleout(path, failures, required):
         print(f"  peak RSS {float(rss['value']):.1f} MB (tracked, never gated)")
 
 
-def gate_pdes(current, failures):
-    """Gate the conservative-PDES worker sweep. BM_PdesSweep/N's value is
-    engine events per wall second (the event count is deterministic across
-    worker counts, so the rate is directly comparable). The speedup gate
-    only fires on machines with enough hardware threads to express
-    parallelism; everywhere else the sweep is tracked for trend
-    visibility."""
-    sweep = {}
-    for label, value in current.items():
-        # Label shape: BM_PdesSweep/<workers>/real_time (wall-time rates —
-        # CPU-time rates would cancel the worker pool's speedup).
-        if label.startswith("BM_PdesSweep/"):
-            try:
-                sweep[int(label.split("/")[1])] = value
-            except (ValueError, IndexError):
-                continue
-    print("== conservative PDES: events/sec by worker count ==")
-    if not sweep:
-        print("  (no BM_PdesSweep entries in this run)")
-        return
-    hw = int(current.get("PdesSweep/hw_threads", 0))
-    for workers in sorted(sweep):
-        rate = sweep[workers]
-        print(f"  workers={workers:<3} {rate:12.3g} ev/s "
-              f"({rate / workers:10.3g} ev/s per worker)")
-    if 1 not in sweep or 4 not in sweep or sweep[1] <= 0:
-        failures.append(
-            "BM_PdesSweep: workers=1/4 pair missing from sweep "
-            f"(have workers={sorted(sweep)}, hw_threads={hw})")
-        return
-    speedup = sweep[4] / sweep[1]
-    # Failure messages carry the full per-worker rate table: a CI log that
-    # says only "speedup too low" forces a rerun to learn whether workers=4
-    # collapsed or workers=1 inflated.
-    per_worker = ", ".join(
-        f"workers={w}: {sweep[w]:.3g} ev/s" for w in sorted(sweep))
-    if hw >= MIN_HW_THREADS_FOR_PDES_GATE:
-        ok = speedup >= MIN_PDES_SPEEDUP
-        print(f"  workers 4 vs 1 speedup {speedup:6.2f}x  "
-              f"{'ok' if ok else f'FAIL (< {MIN_PDES_SPEEDUP}x)'}")
-        if not ok:
-            failures.append(
-                f"BM_PdesSweep: workers=4 only {speedup:.2f}x faster than "
-                f"workers=1 (limit {MIN_PDES_SPEEDUP}x; hw_threads={hw}; "
-                f"{per_worker})")
-    else:
-        print(f"  workers 4 vs 1 speedup {speedup:6.2f}x  "
-              f"(tracked only: machine has {hw} hw threads, "
-              f"gate needs >= {MIN_HW_THREADS_FOR_PDES_GATE})")
-
-
 def seed_baseline(path, current):
     """First run on a fresh clone: write the baseline from the current
     rates so later runs have an absolute floor to compare against."""
-    rates = {label: value for label, value in sorted(current.items())
-             if not label.startswith("PdesSweep/")}
+    rates = dict(sorted(current.items()))
     with open(path, "w") as f:
         json.dump(rates, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -284,12 +214,12 @@ def seed_baseline(path, current):
 
 
 def extend_baseline(path, baseline, current):
-    """A new benchmark (e.g. BM_LaneOutboxDrain on its first run after
+    """A new benchmark (e.g. BM_RepairThroughput on its first run after
     landing) has no checked-in floor yet: append its current rate to the
     baseline file so the *next* run gates it. The current run is not gated
     against the rate it just produced."""
     fresh = {label: value for label, value in sorted(current.items())
-             if label not in baseline and not label.startswith("PdesSweep/")}
+             if label not in baseline}
     if not fresh:
         return
     merged = dict(baseline)
@@ -392,7 +322,6 @@ def main():
                 f"(limit {MIN_DECOMPOSE_SPEEDUP}x)")
 
     gate_queue(current, failures)
-    gate_pdes(current, failures)
     report_faults(args.current)
     gate_scaleout(args.current, failures, args.require_scaleout)
 
