@@ -1,7 +1,6 @@
 #include "cache/global_cache.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -244,28 +243,41 @@ void GlobalCache::drop_clean(std::uint64_t owner) {
 void GlobalCache::transfer(pfs::FileId file, const pfs::Segment& seg,
                            net::NodeId from_node, bool to_cache,
                            sim::UniqueFunction done) {
-  // Group bytes by (placed) home node and move one message per home.
-  std::map<net::NodeId, std::uint64_t> per_home;
+  // Group bytes by (placed) home node and move one message per home, in
+  // ascending node order. A segment touches a handful of homes, so a linear
+  // lookup in a reused vector beats a per-call std::map.
+  per_home_.clear();
   slices(params_.chunk_bytes, seg,
          [&](std::uint64_t index, std::uint64_t, std::uint64_t take) {
-           per_home[placed_home(ChunkKey{file, index})] += take;
+           const net::NodeId home = placed_home(ChunkKey{file, index});
+           for (auto& [node, bytes] : per_home_) {
+             if (node == home) {
+               bytes += take;
+               return;
+             }
+           }
+           per_home_.emplace_back(home, take);
          });
-  if (per_home.empty()) {
+  if (per_home_.empty()) {
     eng_.after(0, std::move(done));
     return;
   }
-  auto* fan = sim::make_fanin(per_home.size(), std::move(done));
-  for (const auto& [home, bytes] : per_home) {
+  std::sort(per_home_.begin(), per_home_.end());
+  const std::uint32_t fan =
+      fans_.open(static_cast<std::uint32_t>(per_home_.size()), std::move(done));
+  for (const auto& [home, bytes] : per_home_) {
     if (to_cache) {
       // put: payload travels to the home node.
-      net_.send(from_node, home, bytes + 64, [fan] { fan->complete(); });
+      net_.send(from_node, home, bytes + 64,
+                sim::inline_fn([this, fan] { fans_.complete(fan); }));
     } else {
       // get: small request, payload comes back.
       const auto h = home;
       const auto b = bytes;
-      net_.send(from_node, h, 64, [this, h, from_node, b, fan] {
-        net_.send(h, from_node, b + 64, [fan] { fan->complete(); });
-      });
+      net_.send(from_node, h, 64, sim::inline_fn([this, h, from_node, b, fan] {
+                  net_.send(h, from_node, b + 64,
+                            sim::inline_fn([this, fan] { fans_.complete(fan); }));
+                }));
     }
   }
 }

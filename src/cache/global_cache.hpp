@@ -12,12 +12,14 @@
 #include <cstdint>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/rangeset.hpp"
 #include "net/network.hpp"
 #include "pfs/layout.hpp"
 #include "sim/engine.hpp"
+#include "sim/fanin.hpp"
 #include "sim/func.hpp"
 #include "sim/rng.hpp"
 
@@ -187,6 +189,10 @@ class GlobalCache {
   std::unordered_map<net::NodeId, std::uint64_t> node_valid_;
   std::unordered_map<std::uint64_t, std::uint64_t> owner_valid_;
   std::uint64_t total_valid_ = 0;
+  /// transfer()'s bytes per home node, ascending by node; kept across calls.
+  std::vector<std::pair<net::NodeId, std::uint64_t>> per_home_;
+  /// Completions of transfers that span several home nodes.
+  sim::FanInPool<sim::UniqueFunction> fans_;
 };
 
 }  // namespace dpar::cache

@@ -61,7 +61,7 @@ class ComputeNode {
   std::deque<Task> normal_q_;
   std::deque<Task> ghost_q_;
   /// Continuations of in-service bursts (one slot per busy core, free-listed);
-  /// the engine lambda captures {this, slot} instead of spilling a 72-byte
+  /// the engine lambda captures {this, slot} instead of spilling a 64-byte
   /// callback to the heap.
   std::vector<sim::UniqueFunction> running_;
   std::vector<std::uint32_t> free_slots_;

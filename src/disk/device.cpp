@@ -48,7 +48,7 @@ void DiskDevice::submit(Request r) {
   poll();
 }
 
-void DiskDevice::submit_batch(std::vector<Request> batch) {
+void DiskDevice::submit_batch(std::vector<Request>& batch) {
   // While the device is idle (or plugged) each submit may change dispatch
   // state, so requests go through the scalar path one by one. Once busy_, a
   // submit reduces to arrival-stamp + enqueue (submit() returns before any
@@ -101,7 +101,7 @@ void DiskDevice::poll() {
       bytes_ += req.bytes();
       inflight_ = std::move(req);
       inflight_status_ = st;
-      eng_.after(t, [this] {
+      eng_.after(t, sim::inline_fn([this] {
         busy_ = false;
         // Move out first: the completion may re-enter submit()/poll() and
         // dispatch the next request into inflight_.
@@ -110,7 +110,7 @@ void DiskDevice::poll() {
         sched_->completed(done_req, eng_.now());
         if (done_req.done) done_req.done(st);
         poll();
-      });
+      }));
       return;
     }
   }
@@ -119,8 +119,7 @@ void DiskDevice::poll() {
 Raid0Device::Raid0Device(sim::Engine& eng, DiskParams params,
                          std::unique_ptr<IoScheduler> s0,
                          std::unique_ptr<IoScheduler> s1, std::uint64_t chunk_sectors)
-    : eng_(eng),
-      d0_(eng, params, std::move(s0)),
+    : d0_(eng, params, std::move(s0)),
       d1_(eng, params, std::move(s1)),
       chunk_sectors_(chunk_sectors) {}
 
@@ -131,12 +130,7 @@ std::uint64_t Raid0Device::capacity_sectors() const {
 void Raid0Device::submit(Request r) {
   // Split the logical request into per-chunk pieces, map each chunk to a
   // member disk, and coalesce adjacent pieces that land on the same member.
-  struct Piece {
-    int member;
-    std::uint64_t lba;
-    std::uint64_t sectors;
-  };
-  std::vector<Piece> pieces;
+  pieces_.clear();
   // Index of the last piece per member, to coalesce member-adjacent chunks
   // even though they alternate in logical order.
   int last_piece[2] = {-1, -1};
@@ -150,7 +144,7 @@ void Raid0Device::submit(Request r) {
     // Member-local address: chunk index within the member, same offset.
     const std::uint64_t mlba = (chunk / 2) * chunk_sectors_ + within;
     if (last_piece[member] >= 0) {
-      Piece& prev = pieces[static_cast<std::size_t>(last_piece[member])];
+      Piece& prev = pieces_[static_cast<std::size_t>(last_piece[member])];
       if (prev.lba + prev.sectors == mlba) {
         prev.sectors += take;
         lba += take;
@@ -158,24 +152,37 @@ void Raid0Device::submit(Request r) {
         continue;
       }
     }
-    last_piece[member] = static_cast<int>(pieces.size());
-    pieces.push_back(Piece{member, mlba, take});
+    last_piece[member] = static_cast<int>(pieces_.size());
+    pieces_.push_back(Piece{member, mlba, take});
     lba += take;
     remaining -= take;
   }
 
-  auto* fan = fault::make_status_fanin(
-      pieces.size(), [done = std::move(r.done)](fault::Status st) mutable {
-        if (done) done(st);
-      });
-  for (const Piece& p : pieces) {
+  if (pieces_.empty()) {
+    if (r.done) r.done(fault::Status::kOk);
+    return;
+  }
+  if (pieces_.size() == 1) {
+    // The whole request lands on one member: it goes down as is, remapped,
+    // and completes straight into its own callback.
+    const Piece p = pieces_.front();
+    r.id = next_id_++;
+    r.lba = p.lba;
+    r.sectors = static_cast<std::uint32_t>(p.sectors);
+    member(p.member).submit(std::move(r));
+    return;
+  }
+  const std::uint32_t fan =
+      fans_.open(static_cast<std::uint32_t>(pieces_.size()), std::move(r.done));
+  for (const Piece& p : pieces_) {
     Request sub;
     sub.id = next_id_++;
     sub.lba = p.lba;
     sub.sectors = static_cast<std::uint32_t>(p.sectors);
     sub.is_write = r.is_write;
     sub.context = r.context;
-    sub.done = [fan](fault::Status st) { fan->complete(st); };
+    sub.done = sim::inline_fn(
+        [this, fan](fault::Status st) { fault::complete_status(fans_, fan, st); });
     member(p.member).submit(std::move(sub));
   }
 }

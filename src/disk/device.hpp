@@ -25,8 +25,9 @@ class BlockDevice {
   /// Submit a whole decomposed list-I/O batch. Semantically identical to
   /// calling submit() on each request in order (completion order and timing
   /// are unchanged); devices may override to hand the scheduler the bulk of
-  /// the batch in one call instead of N queue round-trips.
-  virtual void submit_batch(std::vector<Request> batch) {
+  /// the batch in one call instead of N queue round-trips. The requests are
+  /// moved out; the caller keeps (and reuses) the vector.
+  virtual void submit_batch(std::vector<Request>& batch) {
     for (Request& r : batch) submit(std::move(r));
   }
   virtual std::uint64_t capacity_sectors() const = 0;
@@ -44,7 +45,7 @@ class DiskDevice final : public BlockDevice {
   DiskDevice(sim::Engine& eng, DiskParams params, std::unique_ptr<IoScheduler> sched);
 
   void submit(Request r) override;
-  void submit_batch(std::vector<Request> batch) override;
+  void submit_batch(std::vector<Request>& batch) override;
   std::uint64_t capacity_sectors() const override { return model_.params().capacity_sectors(); }
   void set_fault_injector(fault::FaultInjector* inj, std::uint32_t owner) override {
     injector_ = inj;
@@ -102,10 +103,20 @@ class Raid0Device final : public BlockDevice {
   DiskDevice& member(int i) { return i == 0 ? d0_ : d1_; }
 
  private:
-  sim::Engine& eng_;
+  /// A member-local piece of a logical request.
+  struct Piece {
+    int member;
+    std::uint64_t lba;
+    std::uint64_t sectors;
+  };
+
   DiskDevice d0_, d1_;
   std::uint64_t chunk_sectors_;
   std::uint64_t next_id_ = 1;
+  /// submit()'s split scratch, kept across calls.
+  std::vector<Piece> pieces_;
+  /// Completions of requests split over both members.
+  fault::StatusFanIns<CompletionFn> fans_;
 };
 
 }  // namespace dpar::disk

@@ -4,10 +4,11 @@
 // heap node per queued request, pointer-chasing on every lower_bound) and
 // per-context state in `std::map`s. The structures here replace them:
 //
-//  * RequestSlab — chunked stable storage for queued Requests. A Request
-//    carries a move-only completion callback and is 128 bytes; parking it in
-//    a chunk that never reallocates means each request is moved exactly twice
-//    (in at enqueue, out at dispatch), with slots addressed by dense u32 ids.
+//  * sim::Slab<Request> (sim/slab.hpp) — chunked stable storage for queued
+//    Requests. A Request carries a move-only completion callback and is 112
+//    bytes; parking it in a chunk that never reallocates means each request
+//    is moved exactly twice (in at enqueue, out at dispatch), with slots
+//    addressed by dense u32 ids.
 //  * SortedRunQueue — a sector-sorted run of 16-byte POD keys over the slab.
 //    Inserts append (O(1)); the tail is sorted and merged into the run lazily
 //    at the next lookup, so a burst of b arrivals between dispatches costs
@@ -16,8 +17,8 @@
 //    tombstones the key and compacts when half the run is dead. Lookups use
 //    the branchless lower bound, plus an O(1)-validated hint for the
 //    elevator's sequential sweep.
-//  * SlotFifo — a grow-only POD ring buffer (NOOP's slot FIFO, deadline
-//    expiry FIFOs, CFQ's round-robin list).
+//  * sim::SlotFifo (sim/slab.hpp) — a ring buffer (NOOP's slot FIFO,
+//    deadline expiry FIFOs, CFQ's round-robin list).
 //  * ContextTable — an open-addressed linear-probe table for per-context
 //    scheduler state, replacing `std::map<uint64_t, Context>`. Contexts are
 //    never erased (matching the map-based originals), so no tombstones.
@@ -33,64 +34,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "disk/request.hpp"
+#include "sim/slab.hpp"
 
 namespace dpar::disk {
-
-/// Chunked stable slab: parked requests never move (chunks are never
-/// reallocated), so the 128-byte Request — completion callback included — is
-/// moved exactly twice in its queued life. Freed slots are recycled LIFO;
-/// a per-slot generation counter lets stale references (deadline expiry FIFO
-/// entries) detect recycling with one compare.
-class RequestSlab {
- public:
-  std::uint32_t park(Request r) {
-    std::uint32_t slot;
-    if (!free_.empty()) {
-      slot = free_.back();
-      free_.pop_back();
-    } else {
-      slot = count_;
-      if ((count_ >> kChunkBits) == chunks_.size())
-        chunks_.push_back(std::make_unique<Chunk>());
-      ++count_;
-      gens_.push_back(0);
-    }
-    at(slot) = std::move(r);
-    return slot;
-  }
-
-  Request take(std::uint32_t slot) {
-    ++gens_[slot];
-    free_.push_back(slot);
-    return std::move(at(slot));
-  }
-
-  Request& at(std::uint32_t slot) {
-    return chunks_[slot >> kChunkBits]->slots[slot & kChunkMask];
-  }
-  const Request& at(std::uint32_t slot) const {
-    return chunks_[slot >> kChunkBits]->slots[slot & kChunkMask];
-  }
-
-  std::uint32_t generation(std::uint32_t slot) const { return gens_[slot]; }
-
- private:
-  static constexpr std::uint32_t kChunkBits = 5;  // 32 requests = 4 KB chunks
-  static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
-  struct Chunk {
-    Request slots[1u << kChunkBits];
-  };
-
-  std::vector<std::unique_ptr<Chunk>> chunks_;
-  std::vector<std::uint32_t> gens_;
-  std::vector<std::uint32_t> free_;
-  std::uint32_t count_ = 0;
-};
 
 /// Sector-sorted request queue: lazily sorted POD keys over a stable slab.
 ///
@@ -213,12 +163,26 @@ class SortedRunQueue {
   }
 
   /// Sort the appended tail and merge it into the run. One O(b log b + n)
-  /// pass per arrival burst, instead of b O(n) in-place insertions.
+  /// pass per arrival burst, instead of b O(n) in-place insertions. The merge
+  /// runs backward from the end of the key array with the sorted tail set
+  /// aside in a member buffer, so it needs b keys of scratch (kept across
+  /// bursts up to sim::kRetainedCapacity) and leaves the run's prefix below
+  /// the tail's minimum in place. Keys are unique, so the result is the one
+  /// sorted order.
   void ensure_sorted() {
     if (sorted_ == keys_.size()) return;
     const auto mid = keys_.begin() + static_cast<std::ptrdiff_t>(sorted_);
     std::sort(mid, keys_.end(), before);
-    std::inplace_merge(keys_.begin(), mid, keys_.end(), before);
+    tail_.assign(mid, keys_.end());
+    std::size_t run = sorted_, tail = tail_.size(), out = keys_.size();
+    while (tail > 0) {
+      if (run > 0 && before(tail_[tail - 1], keys_[run - 1])) {
+        keys_[--out] = keys_[--run];
+      } else {
+        keys_[--out] = tail_[--tail];
+      }
+    }
+    sim::clear_bounded(tail_);
     sorted_ = keys_.size();
     hint_ = npos;
   }
@@ -250,52 +214,13 @@ class SortedRunQueue {
   }
 
   std::vector<Key> keys_;  // sorted by (lba, seq) up to sorted_, then appends
-  RequestSlab slab_;
+  std::vector<Key> tail_;  // ensure_sorted's sorted tail, set aside for the merge
+  sim::Slab<Request> slab_;
   std::size_t sorted_ = 0;  // keys_[0..sorted_) is sorted
   std::size_t hint_ = npos;
   std::size_t live_ = 0;
   std::size_t dead_ = 0;
   std::uint32_t next_seq_ = 0;
-};
-
-/// Grow-only ring buffer (deadline expiry FIFOs, CFQ's round-robin list,
-/// NOOP's slot FIFO). Meant for small trivially-movable records; bulky
-/// payloads belong in a RequestSlab with their slot ids ringed here.
-template <class T>
-class SlotFifo {
- public:
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  void push_back(T v) {
-    if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(v);
-    ++size_;
-  }
-
-  T& front() { return buf_[head_]; }
-  const T& front() const { return buf_[head_]; }
-
-  T pop_front() {
-    T v = std::move(buf_[head_]);
-    head_ = (head_ + 1) & (buf_.size() - 1);
-    --size_;
-    return v;
-  }
-
- private:
-  void grow() {
-    const std::size_t cap = buf_.empty() ? 8 : buf_.size() * 2;
-    std::vector<T> next(cap);
-    for (std::size_t i = 0; i < size_; ++i)
-      next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
-    buf_ = std::move(next);
-    head_ = 0;
-  }
-
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
 };
 
 /// Open-addressed linear-probe map from context id to per-context scheduler

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "dualpar/crm.hpp"
-#include "sim/fanin.hpp"
 
 namespace dpar::dualpar {
 
@@ -81,10 +80,11 @@ void DualParDriver::serve_from_cache(mpi::Process& proc, const mpi::IoCall& call
     env_.fs.engine().after(0, std::move(done));
     return;
   }
-  auto* fan = sim::make_fanin(call.segments.size(), std::move(done));
+  const std::uint32_t fan =
+      fans_.open(static_cast<std::uint32_t>(call.segments.size()), std::move(done));
   for (const auto& s : call.segments) {
     cache_.transfer(call.file, s, proc.node().id(), /*to_cache=*/false,
-                    [fan] { fan->complete(); });
+                    sim::inline_fn([this, fan] { fans_.complete(fan); }));
   }
 }
 
@@ -135,8 +135,8 @@ void DualParDriver::write_path(mpi::Process& proc, const mpi::IoCall& call,
   }
   st.dirty_bytes[proc.global_id()] += bytes;
 
-  auto* fan = sim::make_fanin(
-      std::max<std::size_t>(call.segments.size(), 1),
+  const std::uint32_t fan = fans_.open(
+      static_cast<std::uint32_t>(std::max<std::size_t>(call.segments.size(), 1)),
       [this, &proc, &job, done = std::move(done)]() mutable {
         JobState& jst = state_for(job);
         if (jst.dirty_bytes[proc.global_id()] >= params_.cache_quota) {
@@ -150,12 +150,12 @@ void DualParDriver::write_path(mpi::Process& proc, const mpi::IoCall& call,
         }
       });
   if (call.segments.empty()) {
-    env_.fs.engine().after(0, [fan] { fan->complete(); });
+    env_.fs.engine().after(0, sim::inline_fn([this, fan] { fans_.complete(fan); }));
     return;
   }
   for (const auto& s : call.segments) {
     cache_.transfer(call.file, s, proc.node().id(), /*to_cache=*/true,
-                    [fan] { fan->complete(); });
+                    sim::inline_fn([this, fan] { fans_.complete(fan); }));
   }
 }
 
@@ -245,25 +245,22 @@ void DualParDriver::start_cycle(mpi::Job& job) {
   });
 }
 
-namespace {
-
 /// Issue `segments` of `file` as one batch: pieces are dispatched from the
 /// compute node that is (or will become) each chunk's cache home (CRM runs
 /// on every node), so payloads cross the network once; all pieces share one
 /// I/O context so the disk schedulers see a single deep queue.
-void issue_batch(mpiio::IoEnv& env, cache::GlobalCache& cache, pfs::FileId file,
-                 const std::vector<pfs::Segment>& segments, bool is_write,
-                 std::uint64_t context,
-                 const std::map<std::uint64_t, net::NodeId>* intended_homes,
-                 sim::UniqueFn<void(fault::Status)> done) {
+void DualParDriver::issue_batch(
+    pfs::FileId file, const std::vector<pfs::Segment>& segments, bool is_write,
+    std::uint64_t context, const std::map<std::uint64_t, net::NodeId>* intended_homes,
+    sim::UniqueFn<void(fault::Status)> done) {
   std::map<net::NodeId, std::vector<pfs::Segment>> per_home;
-  const std::uint64_t chunk = cache.params().chunk_bytes;
+  const std::uint64_t chunk = cache_.params().chunk_bytes;
   for (const auto& seg : segments) {
     std::uint64_t off = seg.offset, rem = seg.length;
     while (rem > 0) {
       const std::uint64_t index = off / chunk;
       const std::uint64_t take = std::min(rem, chunk - off % chunk);
-      net::NodeId home = cache.placed_home(cache::ChunkKey{file, index});
+      net::NodeId home = cache_.placed_home(cache::ChunkKey{file, index});
       if (intended_homes) {
         auto it = intended_homes->find(index);
         if (it != intended_homes->end() && it->second != cache::kAutoHome)
@@ -280,20 +277,21 @@ void issue_batch(mpiio::IoEnv& env, cache::GlobalCache& cache, pfs::FileId file,
     }
   }
   if (per_home.empty()) {
-    env.fs.engine().after(0, [done = std::move(done)]() mutable {
+    env_.fs.engine().after(0, [done = std::move(done)]() mutable {
       done(fault::Status::kOk);
     });
     return;
   }
-  auto* fan = fault::make_status_fanin(per_home.size(), std::move(done));
+  const std::uint32_t fan =
+      batch_fans_.open(static_cast<std::uint32_t>(per_home.size()), std::move(done));
   for (auto& [home, list] : per_home) {
-    env.clients.for_node(home).io(
+    env_.clients.for_node(home).io(
         file, list, is_write, context,
-        [fan](std::uint64_t, fault::Status st) { fan->complete(st); });
+        sim::inline_fn([this, fan](std::uint64_t, fault::Status st) {
+          fault::complete_status(batch_fans_, fan, st);
+        }));
   }
 }
-
-}  // namespace
 
 void DualParDriver::run_writeback(mpi::Job& job, sim::UniqueFunction next) {
   JobState& st = state_for(job);
@@ -319,10 +317,11 @@ void DualParDriver::run_writeback(mpi::Job& job, sim::UniqueFunction next) {
   // Phase A: hole reads across all files; phase B: the merged writes.
   auto do_writes = [this, plans, next = std::move(next), &job]() mutable {
     JobState& jst = state_for(job);
-    auto* fan = sim::make_fanin(plans->size(), std::move(next));
+    const std::uint32_t fan =
+        fans_.open(static_cast<std::uint32_t>(plans->size()), std::move(next));
     for (const auto& fp : *plans) {
       for (const auto& w : fp.plan.writes) stats_.writeback_bytes += w.length;
-      issue_batch(env_, cache_, fp.file, fp.plan.writes, /*is_write=*/true,
+      issue_batch(fp.file, fp.plan.writes, /*is_write=*/true,
                   jst.crm_context, nullptr, [this, fp, fan](fault::Status wst) {
                     if (fault::ok(wst)) {
                       // The flush landed: those cache ranges are clean now.
@@ -338,7 +337,7 @@ void DualParDriver::run_writeback(mpi::Job& job, sim::UniqueFunction next) {
                         ++inj->counters().dualpar_aborted_batches;
                     }
                     note_batch_status(wst);
-                    fan->complete();
+                    fans_.complete(fan);
                   });
     }
   };
@@ -350,16 +349,17 @@ void DualParDriver::run_writeback(mpi::Job& job, sim::UniqueFunction next) {
     do_writes();
     return;
   }
-  auto* hole_fan = sim::make_fanin(hole_files, std::move(do_writes));
+  const std::uint32_t hole_fan =
+      fans_.open(static_cast<std::uint32_t>(hole_files), std::move(do_writes));
   for (const auto& fp : *plans) {
     if (fp.plan.hole_reads.empty()) continue;
     stats_.hole_read_bytes += fp.plan.hole_bytes;
-    issue_batch(env_, cache_, fp.file, fp.plan.hole_reads, /*is_write=*/false,
+    issue_batch(fp.file, fp.plan.hole_reads, /*is_write=*/false,
                 st.crm_context, nullptr, [this, hole_fan](fault::Status hst) {
                   // A failed hole read degrades the merge (the write still
                   // covers the dirty ranges); record it and carry on.
                   note_batch_status(hst);
-                  hole_fan->complete();
+                  fans_.complete(hole_fan);
                 });
   }
 }
@@ -431,7 +431,8 @@ void DualParDriver::run_prefetch(mpi::Job& job, sim::UniqueFunction next) {
     }
     (*next_shared)();
   };
-  auto* fan = sim::make_fanin(raw.size(), std::move(on_all_done));
+  const std::uint32_t fan =
+      fans_.open(static_cast<std::uint32_t>(raw.size()), std::move(on_all_done));
 
   for (auto& [file, segs] : raw) {
     auto batch = build_read_batch(std::move(segs), opt);
@@ -441,7 +442,7 @@ void DualParDriver::run_prefetch(mpi::Job& job, sim::UniqueFunction next) {
     const pfs::FileId f = file;
     batches->emplace_back(f, std::move(batch));
     const auto* file_homes = homes->count(f) ? &(*homes)[f] : nullptr;
-    issue_batch(env_, cache_, f, batches->back().second, /*is_write=*/false,
+    issue_batch(f, batches->back().second, /*is_write=*/false,
                 st.crm_context, file_homes,
                 [this, fan, failed, f](fault::Status pst) {
                   if (!fault::ok(pst)) {
@@ -451,7 +452,7 @@ void DualParDriver::run_prefetch(mpi::Job& job, sim::UniqueFunction next) {
                       ++inj->counters().dualpar_aborted_batches;
                   }
                   note_batch_status(pst);
-                  fan->complete();
+                  fans_.complete(fan);
                 });
   }
 }

@@ -28,7 +28,9 @@
 #include "dualpar/emc.hpp"
 #include "dualpar/ghost.hpp"
 #include "dualpar/params.hpp"
+#include "fault/status.hpp"
 #include "mpiio/vanilla.hpp"
+#include "sim/fanin.hpp"
 
 namespace dpar::dualpar {
 
@@ -93,6 +95,12 @@ class DualParDriver : public mpiio::VanillaDriver {
   void arm_deadline(mpi::Job& job, mpi::Process& proc);
   void maybe_start_cycle(mpi::Job& job);
   void start_cycle(mpi::Job& job);
+  /// Issue `segments` of `file` as one CRM batch (see driver.cpp);
+  /// `done` receives the worst per-home outcome.
+  void issue_batch(pfs::FileId file, const std::vector<pfs::Segment>& segments,
+                   bool is_write, std::uint64_t context,
+                   const std::map<std::uint64_t, net::NodeId>* intended_homes,
+                   sim::UniqueFn<void(fault::Status)> done);
   void run_writeback(mpi::Job& job, sim::UniqueFunction next);
   void run_prefetch(mpi::Job& job, sim::UniqueFunction next);
   void resume_all(mpi::Job& job);
@@ -107,6 +115,10 @@ class DualParDriver : public mpiio::VanillaDriver {
   // are held across re-entrant engine callbacks).
   std::vector<std::unique_ptr<JobState>> jobs_;
   DriverStats stats_;
+  /// Cache-transfer and cycle-phase fan-ins.
+  sim::FanInPool<sim::UniqueFunction> fans_;
+  /// Per-home fan-ins of CRM batches.
+  fault::StatusFanIns<sim::UniqueFn<void(fault::Status)>> batch_fans_;
 };
 
 }  // namespace dpar::dualpar

@@ -4,8 +4,6 @@
 #include <utility>
 #include <variant>
 
-#include "sim/fanin.hpp"
-
 namespace dpar::dualpar {
 
 PreexecDriver::PState& PreexecDriver::state_for(mpi::Process& proc,
@@ -73,10 +71,15 @@ void PreexecDriver::serve_hit(mpi::Process& proc, PState& st, const mpi::IoCall&
   const std::uint64_t bytes = call.total_bytes();
   st.window -= std::min(st.window, bytes);  // consumed: window space freed
   for (const auto& s : call.segments) cache_.reference(call.file, s);
-  auto* fan = sim::make_fanin(call.segments.size(), std::move(done));
-  for (const auto& s : call.segments) {
-    cache_.transfer(call.file, s, proc.node().id(), /*to_cache=*/false,
-                    [fan] { fan->complete(); });
+  if (call.segments.empty()) {
+    done();
+  } else {
+    const std::uint32_t fan =
+        fans_.open(static_cast<std::uint32_t>(call.segments.size()), std::move(done));
+    for (const auto& s : call.segments) {
+      cache_.transfer(call.file, s, proc.node().id(), /*to_cache=*/false,
+                      sim::inline_fn([this, fan] { fans_.complete(fan); }));
+    }
   }
   pump(proc, st);
 }

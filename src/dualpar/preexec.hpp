@@ -21,6 +21,7 @@
 #include "cache/rangeset.hpp"
 #include "dualpar/params.hpp"
 #include "mpiio/vanilla.hpp"
+#include "sim/fanin.hpp"
 
 namespace dpar::dualpar {
 
@@ -82,6 +83,8 @@ class PreexecDriver : public mpiio::VanillaDriver {
   std::uint32_t inflight_limit_ = 4;
   std::map<std::uint32_t, PState> procs_;
   PreexecStats stats_;
+  /// Fan-ins of cache hits served by several transfers.
+  sim::FanInPool<sim::UniqueFunction> fans_;
 };
 
 }  // namespace dpar::dualpar

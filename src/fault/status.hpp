@@ -8,9 +8,9 @@
 // can combine branch outcomes with a max.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <utility>
+
+#include "sim/fanin.hpp"
 
 namespace dpar::fault {
 
@@ -42,40 +42,21 @@ constexpr bool ok(Status s) { return s == Status::kOk; }
 /// Worst of two outcomes (severity order of the enum values).
 constexpr Status combine(Status a, Status b) { return a < b ? b : a; }
 
-/// Fan-in over N branches that each complete with a Status; the continuation
-/// receives the worst branch outcome. Same ownership contract as
-/// sim::FanInT: exactly n complete() calls, the block frees itself on the
-/// last one, and the continuation may re-enter or deallocate freely.
-template <class F>
-class StatusFanIn {
- public:
-  StatusFanIn(std::size_t n, F f) : remaining_(n), done_(std::move(f)) {}
+/// Fan-ins over N branches that each complete with a Status; the
+/// continuation receives the worst branch outcome. Slab-owned like every
+/// sim::FanInPool: the owner frees whatever is still open when it dies.
+template <class Fn>
+using StatusFanIns = sim::FanInPool<Fn, Status>;
 
-  void complete(Status s) {
-    status_ = combine(status_, s);
-    if (--remaining_ == 0) {
-      F d = std::move(done_);
-      const Status st = status_;
-      delete this;
-      d(st);
-    }
-  }
-
- private:
-  std::size_t remaining_;
-  Status status_ = Status::kOk;
-  F done_;
-};
-
-/// Heap-allocate a status fan-in of `n` branches completing into `f`.
-/// n == 0 runs `f(kOk)` immediately and returns nullptr.
-template <class F>
-StatusFanIn<F>* make_status_fanin(std::size_t n, F f) {
-  if (n == 0) {
-    f(Status::kOk);
-    return nullptr;
-  }
-  return new StatusFanIn<F>(n, std::move(f));
+/// One branch of fan-in `id` finished with `st`; the last one calls
+/// `done(worst)` (an empty continuation is skipped).
+template <class Fn>
+void complete_status(StatusFanIns<Fn>& fans, std::uint32_t id, Status st) {
+  Status& worst = fans.acc(id);
+  worst = combine(worst, st);
+  fans.complete(id, [](Fn& done, Status w) {
+    if (done) done(w);
+  });
 }
 
 }  // namespace dpar::fault

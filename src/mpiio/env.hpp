@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -20,15 +19,17 @@ class ClientPool {
   explicit ClientPool(pfs::FileSystem& fs) : fs_(fs) {}
 
   pfs::Client& for_node(net::NodeId node) {
-    auto it = clients_.find(node);
-    if (it == clients_.end())
-      it = clients_.emplace(node, std::make_unique<pfs::Client>(fs_, node)).first;
-    return *it->second;
+    if (node >= clients_.size()) clients_.resize(node + 1);
+    std::unique_ptr<pfs::Client>& c = clients_[node];
+    if (!c) c = std::make_unique<pfs::Client>(fs_, node);
+    return *c;
   }
 
  private:
   pfs::FileSystem& fs_;
-  std::unordered_map<net::NodeId, std::unique_ptr<pfs::Client>> clients_;
+  /// Indexed by node id (ids are dense): one lookup per I/O piece, so a
+  /// hash probe here showed up in the small-request profile.
+  std::vector<std::unique_ptr<pfs::Client>> clients_;
 };
 
 /// Observation hook the instrumented ADIO functions call on every

@@ -1,19 +1,10 @@
 #include "mpiio/vanilla.hpp"
 
 #include <cstddef>
+#include <span>
 #include <utility>
 
 namespace dpar::mpiio {
-
-/// State of one piecewise strided call: the call is walked segment by
-/// segment, each round trip capturing just this block's pointer.
-struct PieceWalk {
-  VanillaDriver* drv;
-  mpi::Process* proc;
-  mpi::IoCall call;
-  std::size_t index;
-  sim::UniqueFunction done;
-};
 
 void VanillaDriver::io(mpi::Process& proc, const mpi::IoCall& call,
                        sim::UniqueFunction done) {
@@ -26,7 +17,13 @@ void VanillaDriver::io(mpi::Process& proc, const mpi::IoCall& call,
 void VanillaDriver::raw_io(mpi::Process& proc, const mpi::IoCall& call,
                            sim::UniqueFunction done) {
   if (piecewise_strided_ && call.segments.size() > 1) {
-    issue_piece(new PieceWalk{this, &proc, call, 0, std::move(done)});
+    const std::uint32_t slot = walks_.acquire();
+    PieceWalk& w = walks_.at(slot);
+    w.proc = &proc;
+    w.call = call;  // copy-assign: reuses the pooled segment storage
+    w.index = 0;
+    w.done = std::move(done);
+    issue_piece(slot);
     return;
   }
   pfs::Client& client = env_.clients.for_node(proc.node().id());
@@ -38,23 +35,25 @@ void VanillaDriver::raw_io(mpi::Process& proc, const mpi::IoCall& call,
             });
 }
 
-void VanillaDriver::issue_piece(PieceWalk* w) {
-  if (w->index >= w->call.segments.size()) {
-    sim::UniqueFunction done = std::move(w->done);
-    delete w;
+void VanillaDriver::issue_piece(std::uint32_t slot) {
+  PieceWalk& w = walks_.at(slot);
+  if (w.index >= w.call.segments.size()) {
+    sim::UniqueFunction done = std::move(w.done);
+    walks_.release(slot);
     done();
     return;
   }
-  pfs::Client& client = env_.clients.for_node(w->proc->node().id());
-  client.io(w->call.file, {w->call.segments[w->index]}, w->call.is_write,
-            w->proc->global_id(), [w](std::uint64_t, fault::Status st) {
+  pfs::Client& client = env_.clients.for_node(w.proc->node().id());
+  client.io(w.call.file, std::span(&w.call.segments[w.index], 1), w.call.is_write,
+            w.proc->global_id(),
+            sim::inline_fn([this, slot](std::uint64_t, fault::Status st) {
               // A failed piece is reported and the walk continues: the
               // application sees the error but the benchmark keeps running.
-              note_io_status(w->drv->env_, st);
-              w->drv->on_raw_status(st);
-              ++w->index;
-              w->drv->issue_piece(w);
-            });
+              note_io_status(env_, st);
+              on_raw_status(st);
+              ++walks_.at(slot).index;
+              issue_piece(slot);
+            }));
 }
 
 }  // namespace dpar::mpiio

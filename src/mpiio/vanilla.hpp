@@ -2,14 +2,14 @@
 // to the parallel file system, in program order (Strategy 1 of §II).
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "mpi/job.hpp"
 #include "mpiio/env.hpp"
+#include "sim/slab.hpp"
 
 namespace dpar::mpiio {
-
-struct PieceWalk;
 
 class VanillaDriver : public mpi::IoDriver {
  public:
@@ -41,11 +41,22 @@ class VanillaDriver : public mpi::IoDriver {
   IoEnv env_;
 
  private:
-  /// Issue the next contiguous piece of `w` (one heap control block per
-  /// strided call; per-piece callbacks capture only the block pointer).
-  void issue_piece(PieceWalk* w);
+  /// State of one piecewise strided call: the call is walked segment by
+  /// segment. Pooled, so the copied call keeps its segment storage for the
+  /// next walk.
+  struct PieceWalk {
+    mpi::Process* proc = nullptr;
+    mpi::IoCall call;
+    std::size_t index = 0;
+    sim::UniqueFunction done;
+  };
+
+  /// Issue the next contiguous piece of walk `slot`; per-piece callbacks
+  /// capture only `{this, slot}`.
+  void issue_piece(std::uint32_t slot);
 
   bool piecewise_strided_ = true;
+  sim::Slab<PieceWalk> walks_;
 };
 
 }  // namespace dpar::mpiio

@@ -21,6 +21,7 @@
 #include "sim/func.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
+#include "sim/slab.hpp"
 #include "sim/stats.hpp"
 
 namespace dpar::fault {
@@ -80,9 +81,23 @@ class Network {
     std::unique_ptr<sim::FifoResource> rx;
   };
 
+  /// In-flight remote message between its TX drain and its arrival at the
+  /// receiver's RX FIFO. The delivery callback is too big to re-capture in
+  /// the arrival closure without spilling past UniqueFn's inline buffer, so
+  /// it parks here and the closure captures `{this, slot}`.
+  struct Transit {
+    sim::FifoResource* rx = nullptr;
+    sim::Time rx_time = 0;
+    sim::UniqueFunction cb;
+  };
+
+  /// Hand the parked message to the receiver's RX FIFO.
+  void arrive_(std::uint32_t slot);
+
   sim::Engine& eng_;
   NetParams params_;
   std::vector<Nic> nics_;
+  sim::Slab<Transit> transit_;
   fault::FaultInjector* injector_ = nullptr;
 };
 

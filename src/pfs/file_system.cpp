@@ -299,7 +299,7 @@ struct RepOpRef {
 /// the chunk-coalesced file-space ranges each shard covers. Shards come out
 /// sorted by server id.
 void build_role_shards(const replica::ReplicaMap& map, std::uint64_t file_size,
-                       const std::vector<Segment>& segments, std::uint32_t role,
+                       std::span<const Segment> segments, std::uint32_t role,
                        bool is_write, std::uint64_t context_unused,
                        std::vector<RepOp::Shard>& out) {
   (void)context_unused;
@@ -557,7 +557,7 @@ void start_rep_stage(RepOp* op, std::uint32_t role) {
 }
 
 void replicated_io(FileSystem& fs, net::NodeId node, replica::RepairManager& mgr,
-                   FileId file, const std::vector<Segment>& segments,
+                   FileId file, std::span<const Segment> segments,
                    bool is_write, std::uint64_t context, IoDoneFn done) {
   const std::uint64_t file_size = fs.info(file).size;
   std::uint64_t total_bytes = 0;
@@ -612,7 +612,7 @@ void replicated_io(FileSystem& fs, net::NodeId node, replica::RepairManager& mgr
 
 }  // namespace
 
-void Client::io(FileId file, const std::vector<Segment>& segments, bool is_write,
+void Client::io(FileId file, std::span<const Segment> segments, bool is_write,
                 std::uint64_t context, IoDoneFn done) {
   ++calls_;
   if (replica::RepairManager* mgr = fs_.replicas();
@@ -665,31 +665,47 @@ void Client::io(FileId file, const std::vector<Segment>& segments, bool is_write
     return;
   }
 
-  // Fault-free fast path: single fan-in, no timeout events, no control block.
-  auto* fan = fault::make_status_fanin(
-      involved, [done = std::move(done), total_bytes](fault::Status st) mutable {
-        done(total_bytes, st);
-      });
+  // Fault-free fast path: one pooled fan-in, no timeout events, and one
+  // pooled message record per server — nothing here allocates once the
+  // pools and run vectors have grown to the run's working set.
+  const std::uint32_t fan = fans_.open(involved, std::move(done), Reply{total_bytes});
   for (std::uint32_t s : scratch_.touched) {
     DataServer& srv = fs_.server(s);
     const ShardSizing wire = size_shard(per_server[s], is_write);
-
-    ServerIoRequest req;
-    req.file = file;
-    req.is_write = is_write;
-    req.context = context;
-    req.runs = std::move(per_server[s]);
-
-    auto& net = fs_.network();
-    const net::NodeId srv_node = srv.node();
-    const net::NodeId client_node = node_;
-    const std::uint64_t reply_msg = wire.reply_msg;
-    req.done = [&net, srv_node, client_node, reply_msg, fan](fault::Status st) {
-      net.send(srv_node, client_node, reply_msg, [fan, st] { fan->complete(st); });
-    };
-    net.send(client_node, srv_node, wire.req_msg,
-             [&srv, req = std::move(req)]() mutable { srv.handle(std::move(req)); });
+    const std::uint32_t slot = sends_.acquire();
+    Send& m = sends_.at(slot);
+    m.req.file = file;
+    m.req.is_write = is_write;
+    m.req.context = context;
+    m.req.runs.swap(per_server[s]);
+    per_server[s].clear();
+    m.srv = &srv;
+    m.reply_msg = wire.reply_msg;
+    m.fan = fan;
+    fs_.network().send(node_, srv.node(), wire.req_msg,
+                       sim::inline_fn([this, slot] { deliver_(slot); }));
   }
+}
+
+void Client::deliver_(std::uint32_t slot) {
+  Send& m = sends_.at(slot);
+  const net::NodeId srv_node = m.srv->node();
+  const std::uint64_t reply_msg = m.reply_msg;
+  const std::uint32_t fan = m.fan;
+  m.req.done = sim::inline_fn([this, srv_node, reply_msg, fan](fault::Status st) {
+    fs_.network().send(srv_node, node_, reply_msg,
+                       sim::inline_fn([this, fan, st] { replied_(fan, st); }));
+  });
+  m.srv->handle(std::move(m.req));
+  sends_.release(slot);
+}
+
+void Client::replied_(std::uint32_t fan, fault::Status st) {
+  Reply& r = fans_.acc(fan);
+  r.status = fault::combine(r.status, st);
+  fans_.complete(fan, [](IoDoneFn& done, Reply& reply) {
+    done(reply.bytes, reply.status);
+  });
 }
 
 }  // namespace dpar::pfs

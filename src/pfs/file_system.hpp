@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -12,7 +13,9 @@
 #include "pfs/layout.hpp"
 #include "pfs/server.hpp"
 #include "sim/engine.hpp"
+#include "sim/fanin.hpp"
 #include "sim/func.hpp"
+#include "sim/slab.hpp"
 
 namespace dpar::replica {
 class RepairManager;
@@ -86,13 +89,33 @@ class Client {
   /// fires when every server has replied — or, under fault injection, when
   /// every server has replied, failed definitively, or exhausted the retry
   /// budget (per-request timeout, capped exponential backoff).
-  void io(FileId file, const std::vector<Segment>& segments, bool is_write,
+  void io(FileId file, std::span<const Segment> segments, bool is_write,
           std::uint64_t context, IoDoneFn done);
 
   net::NodeId node() const { return node_; }
   std::uint64_t calls() const { return calls_; }
 
  private:
+  /// One fault-free request message, from io() until the server accepts it.
+  /// Its run vector keeps its capacity: io() swaps it with the decomposition
+  /// scratch and the server swaps it with its own pooled record.
+  struct Send {
+    ServerIoRequest req;
+    DataServer* srv = nullptr;
+    std::uint64_t reply_msg = 0;
+    std::uint32_t fan = 0;  ///< the call's fan-in in fans_
+  };
+  /// What a fault-free call's replies fold into.
+  struct Reply {
+    std::uint64_t bytes = 0;
+    fault::Status status = fault::Status::kOk;
+  };
+
+  /// Request message `slot` reached its server.
+  void deliver_(std::uint32_t slot);
+  /// A reply of fan-in `fan` arrived back at this node.
+  void replied_(std::uint32_t fan, fault::Status st);
+
   FileSystem& fs_;
   net::NodeId node_;
   std::uint64_t calls_ = 0;
@@ -101,6 +124,8 @@ class Client {
   /// at 256+ servers the old per-call allocation and full-width scans
   /// dominated small requests.
   DecomposeScratch scratch_;
+  sim::Slab<Send> sends_;
+  sim::FanInPool<IoDoneFn, Reply> fans_;
 };
 
 }  // namespace dpar::pfs

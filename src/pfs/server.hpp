@@ -14,6 +14,7 @@
 #include "pfs/server_cache.hpp"
 #include "sim/func.hpp"
 #include "sim/resource.hpp"
+#include "sim/slab.hpp"
 
 namespace dpar::fault {
 class FaultInjector;
@@ -69,8 +70,11 @@ class DataServer {
   bool has_file(FileId file) const { return extents_.count(file) != 0; }
   void set_inter_file_gap(std::uint64_t bytes) { gap_bytes_ = bytes; }
 
-  /// Handle a request that has already been delivered to this node.
-  void handle(ServerIoRequest req);
+  /// Handle a request that has already been delivered to this node. The
+  /// request is swapped into a pooled record: `req` is left holding that
+  /// record's old (cleared-on-reuse) run storage, which a caller that reuses
+  /// its request keeps instead of reallocating.
+  void handle(ServerIoRequest&& req);
 
   // ---- Fault injection ----
   /// Arm fault injection for this server and its block device.
@@ -103,12 +107,35 @@ class DataServer {
     std::uint64_t sectors;
   };
 
+  /// One accepted request from handle() to its reply: the request plus the
+  /// fan-in count over its runs.
+  struct IoCtx {
+    ServerIoRequest req;
+    std::size_t outstanding = 0;
+    /// Worst outcome across the request's runs.
+    fault::Status status = fault::Status::kOk;
+    /// The crash epoch the request was accepted in (fault injection only):
+    /// the reply is squashed if the server crashed while the disk work was in
+    /// flight.
+    std::uint64_t epoch = 0;
+  };
+
+  /// The service thread picked up request `slot`: fan it out to the cache
+  /// and the disk.
+  void serve_(std::uint32_t slot);
+  /// One run of request `slot` finished (cache hit or disk completion); the
+  /// last one sends the reply and frees the record.
+  void complete_run_(std::uint32_t slot, fault::Status st = fault::Status::kOk);
+
   sim::Engine& eng_;
   net::NodeId node_;
   std::unique_ptr<disk::BlockDevice> dev_;
   ServerParams params_;
   ServerCache cache_;
   sim::FifoResource service_;
+  sim::Slab<IoCtx> ctxs_;
+  /// serve_()'s disk batch, kept across requests.
+  std::vector<disk::Request> batch_;
   fault::FaultInjector* injector_ = nullptr;
   bool down_ = false;
   /// Bumped on every crash; requests remember the epoch they were accepted in

@@ -7,8 +7,13 @@
 // (harness::ExperimentPool); a single experiment never spans threads.
 //
 // Hot-path design (the whole simulator runs through here):
-//  * Callbacks are `UniqueFunction`s with a 48-byte small buffer — the common
-//    lambda captures (a few pointers) never touch the allocator.
+//  * Callbacks are `UniqueFunction`s with a 48-byte small buffer. The request
+//    path's closures capture `{owner, slab slot}` plus a few scalars — the
+//    records they refer to live in their owners' sim::Slab — and are built
+//    through `inline_fn`, so a capture that would spill fails to compile.
+//    Once the slot slab and the queue's capacity-keeping buckets have grown
+//    to a run's working set, schedule/fire/cancel never touches the
+//    allocator (tests/alloc/test_alloc.cpp counts it).
 //  * Events live in a free-listed slab; `EventId` is a generation-tagged slot
 //    index, so `cancel()` is an O(1) validity check that frees the slot (and
 //    destroys the callback) immediately — no hash sets, no deferred cleanup.

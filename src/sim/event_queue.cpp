@@ -162,7 +162,12 @@ void EventQueue::ladder_place_(const EventKey& k) {
     const std::uint64_t ks = slot_of_(k.t, lvl);
     if (ks - slot_of_(floor_, lvl) < kSlotsPerLevel) {
       const unsigned idx = ks & (kSlotsPerLevel - 1);
-      levels_[lvl].buckets[idx].push_back(k);
+      std::vector<EventKey>& bucket = levels_[lvl].buckets[idx];
+      // A bucket's first key reserves room for a few: most buckets never
+      // hold more, so they allocate once instead of growing 1, 2, 4, 8 and
+      // creeping upward over a long run.
+      if (bucket.capacity() == 0) bucket.reserve(kFirstBucketKeys);
+      bucket.push_back(k);
       levels_[lvl].occupied |= std::uint64_t{1} << idx;
       return;
     }
@@ -179,10 +184,9 @@ void EventQueue::ladder_push_(const EventKey& k) {
     // The key precedes the cursor's bucket (scheduled behind a floor a
     // next_time() peek advanced). Rewind: the front bucket is no longer current, so
     // re-file its keys relative to the new floor.
-    std::vector<EventKey> spill;
-    spill.swap(front_);
+    spill_.swap(front_);
     floor_ = k.t;
-    for (const EventKey& s : spill) {
+    for (const EventKey& s : spill_) {
       if (stale_key(s)) {
         --stale_;
         --lq_size_;
@@ -190,6 +194,7 @@ void EventQueue::ladder_push_(const EventKey& k) {
         ladder_place_(s);
       }
     }
+    finish_drain_(front_);
   }
   ladder_place_(k);
   ++lq_size_;
@@ -225,7 +230,10 @@ void EventQueue::sweep_front_bucket_() {
       }
     }
     b.resize(out);
-    if (b.empty()) lvl.occupied &= ~(std::uint64_t{1} << idx);
+    if (b.empty()) {
+      lvl.occupied &= ~(std::uint64_t{1} << idx);
+      clear_bounded(b);
+    }
   }
 }
 
@@ -275,10 +283,9 @@ Time EventQueue::ladder_next_time_() {
       // then pop after later keys from that bucket's front.
       if (tail_min_ > floor_) floor_ = tail_min_;
       sweep_front_bucket_();
-      std::vector<EventKey> spill;
-      spill.swap(tail_);
+      spill_.swap(tail_);
       tail_min_ = kNoEventTime;
-      for (const EventKey& s : spill) {
+      for (const EventKey& s : spill_) {
         if (stale_key(s)) {
           --stale_;
           --lq_size_;
@@ -286,13 +293,14 @@ Time EventQueue::ladder_next_time_() {
           ladder_place_(s);
         }
       }
+      finish_drain_(tail_);
       continue;
     }
     if (best_lvl < 0) return kNoEventTime;  // unreachable: lq_size_ > 0
 
     const unsigned idx = best_slot & (kSlotsPerLevel - 1);
-    std::vector<EventKey> spill;
-    spill.swap(levels_[best_lvl].buckets[idx]);
+    std::vector<EventKey>& bucket = levels_[best_lvl].buckets[idx];
+    spill_.swap(bucket);
     levels_[best_lvl].occupied &= ~(std::uint64_t{1} << idx);
     if (best_start > floor_) floor_ = best_start;
     // A coarse winner whose start ties a finer occupied slot advances the
@@ -300,7 +308,7 @@ Time EventQueue::ladder_next_time_() {
     // new bucket hiding there must join the front alongside the cascade or
     // they would pop late.
     sweep_front_bucket_();
-    for (const EventKey& s : spill) {
+    for (const EventKey& s : spill_) {
       if (stale_key(s)) {
         --stale_;
         --lq_size_;
@@ -310,7 +318,22 @@ Time EventQueue::ladder_next_time_() {
         ladder_place_(s);  // cascade down (or re-file a wrapped key)
       }
     }
+    finish_drain_(bucket);
   }
+}
+
+void EventQueue::finish_drain_(std::vector<EventKey>& tier) {
+  // The swap lent the spill buffer's storage to the tier (for keys re-filed
+  // into it, which is rare) while the tier's keys were walked from spill_.
+  // Swap back when the tier stayed empty, so every tier keeps the storage
+  // it grew — no buffer circulates between tiers — and drop storage a burst
+  // grew past the retention cap.
+  spill_.clear();
+  if (tier.empty()) {
+    tier.swap(spill_);
+    clear_bounded(tier);
+  }
+  clear_bounded(spill_);
 }
 
 void EventQueue::ladder_purge_stale_() {
@@ -329,17 +352,29 @@ void EventQueue::ladder_purge_stale_() {
     for (unsigned idx = 0; idx < kSlotsPerLevel; ++idx) {
       if ((lvl.occupied & (std::uint64_t{1} << idx)) == 0) continue;
       filter(lvl.buckets[idx]);
-      if (lvl.buckets[idx].empty())
+      if (lvl.buckets[idx].empty()) {
         lvl.occupied &= ~(std::uint64_t{1} << idx);
+        clear_bounded(lvl.buckets[idx]);
+      }
     }
   }
   filter(tail_);
+  if (tail_.empty()) clear_bounded(tail_);
   tail_min_ = kNoEventTime;
   for (const EventKey& k : tail_)
     if (k.t < tail_min_) tail_min_ = k.t;
   lq_size_ -= removed;
   stale_ = 0;
   DPAR_IF_CHECKING(ladder_check_invariants_());
+}
+
+std::size_t EventQueue::idle_capacity() const {
+  std::size_t most = spill_.capacity();
+  if (tail_.empty() && tail_.capacity() > most) most = tail_.capacity();
+  for (const Level& lvl : levels_)
+    for (const auto& bucket : lvl.buckets)
+      if (bucket.empty() && bucket.capacity() > most) most = bucket.capacity();
+  return most;
 }
 
 void EventQueue::ladder_check_invariants_() const {

@@ -31,6 +31,7 @@
 #include <limits>
 #include <vector>
 
+#include "sim/slab.hpp"
 #include "sim/time.hpp"
 
 namespace dpar::sim {
@@ -85,6 +86,11 @@ class EventQueue {
     return kind_ == QueueKind::kHeap ? heap_.size() : lq_size_;
   }
   std::size_t stale() const { return stale_; }
+
+  /// Largest key storage (capacity) held by an empty wheel bucket, an empty
+  /// tail or the spill buffer. At most kRetainedCapacity once a burst has
+  /// drained: the retention cap the memory bound rests on.
+  std::size_t idle_capacity() const;
 
   /// Visit every key (live and stale) in unspecified order — the owning
   /// engine's invariant checks validate slot/callback agreement through this.
@@ -147,6 +153,7 @@ class EventQueue {
   static constexpr int kSlotBits = 6;
   static constexpr int kSlotsPerLevel = 1 << kSlotBits;  // 64
   static constexpr int kBucketShift = 10;                // 1024 ns buckets
+  static constexpr std::size_t kFirstBucketKeys = 8;     // first reservation
   static std::uint64_t slot_of_(Time t, int level) {
     return static_cast<std::uint64_t>(t) >> (kBucketShift + kSlotBits * level);
   }
@@ -156,6 +163,9 @@ class EventQueue {
   void sweep_front_bucket_();  ///< merge the floor's L0 bucket into the front
   void ladder_purge_stale_();
   void ladder_check_invariants_() const;
+  /// End a drain of `tier` through spill_: return the tier's storage to it
+  /// and keep at most kRetainedCapacity keys of idle storage (sim/slab.hpp).
+  void finish_drain_(std::vector<EventKey>& tier);
   void front_push_(const EventKey& k);
   void front_pop_();
   void front_sift_down_(std::size_t i);
@@ -179,6 +189,10 @@ class EventQueue {
   std::vector<EventKey> front_;  ///< 4-ary min-heap of the current bucket
   std::array<Level, kLevels> levels_;
   std::vector<EventKey> tail_;
+  /// Drain buffer: a draining bucket (or the tail, or the front on a rewind)
+  /// is swapped into it and re-filed from it; finish_drain_ then hands the
+  /// tier its storage back, so no tier regrows from zero capacity.
+  std::vector<EventKey> spill_;
   Time tail_min_ = kNoEventTime;  ///< lower bound on live tail keys
   Time floor_ = 0;
   std::size_t lq_size_ = 0;  ///< total keys across front/levels/tail

@@ -1,60 +1,81 @@
-// Intrusive fan-in completion counter.
+// Slab-owned fan-in completion counters.
 //
 // The drivers and PFS layers constantly split one logical operation into N
-// sub-operations (stripes, RAID members, per-server messages) and fire a
-// continuation when the last one lands. The historical idiom was
+// sub-operations (stripes, RAID members, per-server messages, per-home cache
+// transfers) and fire a continuation when the last one lands. A FanInPool is
+// the owner of those counters: `open(n, done)` parks the count and the
+// continuation in a record of the pool's sim::Slab and returns its u32 id;
+// branches capture `{owner, id}` and call `complete(id)`. The last call moves
+// the continuation out and releases the record *before* invoking it, so the
+// continuation may open new fan-ins in the same pool, re-enter, or start
+// unrelated work without touching a recycled record.
 //
-//   auto outstanding = std::make_shared<std::size_t>(n);
-//   auto done_shared = std::make_shared<std::function<void()>>(std::move(done));
-//   ... [outstanding, done_shared] { if (--*outstanding == 0) (*done_shared)(); }
+// Records are recycled (no malloc per fan-in once the slab has grown to the
+// peak number in flight), and the pool destroys every record with itself: a
+// fan-in still waiting when its owner is torn down mid-run is freed, not
+// leaked. The historical idiom — a heap block deleted by its last branch,
+// reachable only through raw pointers inside pending engine closures — leaked
+// exactly those.
 //
-// — two heap allocations plus two control-block refcounts per branch, and a
-// 32-byte capture that pushes every branch callback past std::function's
-// inline buffer. A FanIn is one allocation holding the counter and the moved-in
-// continuation; branches capture a single raw pointer. The last `complete()`
-// moves the continuation out, deletes the block, then invokes — so the
-// continuation may itself allocate, re-enter, or destroy the surrounding
-// object without touching freed memory.
-//
-// Ownership: `make_fanin(n, f)` with n >= 1 returns a pointer that must
-// receive exactly n `complete()` calls; the block deletes itself on the last
-// one. With n == 0 the continuation runs inline and nullptr is returned.
+// `Acc` is an accumulator folded by the branches (fault::Status for the
+// worst-outcome fan-ins of the I/O stack); `complete(id, fire)` hands it to
+// `fire` together with the continuation.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
+
+#include "sim/slab.hpp"
 
 namespace dpar::sim {
 
-template <class F>
-class FanInT {
- public:
-  FanInT(std::size_t n, F f) : remaining_(n), done_(std::move(f)) {}
+/// Accumulator of fan-ins that carry nothing but their count.
+struct NoAcc {};
 
-  /// Signal one branch finished. Frees the block and runs the continuation
-  /// when the count hits zero.
-  void complete() {
-    if (--remaining_ == 0) {
-      F d = std::move(done_);
-      delete this;
-      d();
-    }
+template <class Fn, class Acc = NoAcc>
+class FanInPool {
+ public:
+  /// Open a fan-in of `n` >= 1 branches completing into `done`.
+  std::uint32_t open(std::uint32_t n, Fn done, Acc acc = {}) {
+    const std::uint32_t id = slab_.acquire();
+    Record& r = slab_.at(id);
+    r.remaining = n;
+    r.acc = std::move(acc);
+    r.done = std::move(done);
+    return id;
   }
+
+  /// The open fan-in's accumulator, for branches to fold into.
+  Acc& acc(std::uint32_t id) { return slab_.at(id).acc; }
+
+  /// Signal one branch finished. On the last one the record is released and
+  /// `fire(done, acc)` runs on the moved-out continuation and accumulator.
+  template <class Fire>
+  void complete(std::uint32_t id, Fire&& fire) {
+    Record& r = slab_.at(id);
+    if (--r.remaining != 0) return;
+    Fn done = std::move(r.done);
+    Acc acc = std::move(r.acc);
+    slab_.release(id);
+    fire(done, acc);
+  }
+
+  /// complete() for continuations that take no arguments.
+  void complete(std::uint32_t id) {
+    complete(id, [](Fn& done, Acc&) { done(); });
+  }
+
+  /// Fan-ins currently open.
+  std::size_t live() const { return slab_.live(); }
 
  private:
-  std::size_t remaining_;
-  F done_;
+  struct Record {
+    std::uint32_t remaining = 0;
+    Acc acc{};
+    Fn done;
+  };
+  Slab<Record> slab_;
 };
-
-/// Heap-allocate a fan-in of `n` branches completing into `f`.
-/// n == 0 runs `f` immediately and returns nullptr.
-template <class F>
-FanInT<F>* make_fanin(std::size_t n, F f) {
-  if (n == 0) {
-    f();
-    return nullptr;
-  }
-  return new FanInT<F>(n, std::move(f));
-}
 
 }  // namespace dpar::sim

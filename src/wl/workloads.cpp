@@ -276,6 +276,7 @@ class BtioProgram final : public Cloneable<BtioProgram> {
         call.is_write = (pass_ == 0);
         call.collective = cfg_.collective;
         const std::uint64_t step_base = step_ * step_bytes;
+        call.segments.reserve(rows_per_call);
         for (std::uint64_t r = 0; r < rows_per_call && row_ < rows_per_step;
              ++r, ++row_) {
           call.segments.push_back(

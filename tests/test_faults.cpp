@@ -78,19 +78,24 @@ TEST(FaultStatus, CombineKeepsTheWorst) {
 TEST(FaultStatus, FanInReportsWorstOfAllBranches) {
   using fault::Status;
   Status got = Status::kOk;
-  auto* fan = fault::make_status_fanin(3, [&](Status st) { got = st; });
-  fan->complete(Status::kOk);
-  fan->complete(Status::kMediaError);
+  fault::StatusFanIns<sim::UniqueFn<void(Status)>> fans;
+  const std::uint32_t fan = fans.open(3, [&](Status st) { got = st; });
+  fault::complete_status(fans, fan, Status::kOk);
+  fault::complete_status(fans, fan, Status::kMediaError);
   EXPECT_EQ(got, Status::kOk);  // not fired yet
-  fan->complete(Status::kOk);
+  fault::complete_status(fans, fan, Status::kOk);
   EXPECT_EQ(got, Status::kMediaError);
+  EXPECT_EQ(fans.live(), 0u);
 }
 
-TEST(FaultStatus, EmptyFanInFiresInlineWithOk) {
+TEST(FaultStatus, RecycledFanInStartsFromOk) {
+  // A recycled record starts from kOk again: a single clean branch reports
+  // kOk even though the record's previous fan-in ended in an error.
   using fault::Status;
   Status got = Status::kMediaError;
-  auto* fan = fault::make_status_fanin(0, [&](Status st) { got = st; });
-  EXPECT_EQ(fan, nullptr);
+  fault::StatusFanIns<sim::UniqueFn<void(Status)>> fans;
+  fault::complete_status(fans, fans.open(1, [](Status) {}), Status::kTimeout);
+  fault::complete_status(fans, fans.open(1, [&](Status st) { got = st; }), Status::kOk);
   EXPECT_EQ(got, Status::kOk);
 }
 

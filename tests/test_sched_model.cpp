@@ -425,7 +425,7 @@ TEST(SortedRunQueue, BatchInsertReportsSlotsInArrivalOrder) {
 }
 
 TEST(SlotFifo, FifoOrderAcrossGrowthAndWrap) {
-  SlotFifo<std::uint32_t> f;
+  sim::SlotFifo<std::uint32_t> f;
   std::uint32_t next_push = 0, next_pop = 0;
   sim::Rng rng(3);
   for (int op = 0; op < 10000; ++op) {
