@@ -27,8 +27,7 @@ class StencilProgram final : public mpi::Program {
     if (iter_ >= iterations_) return mpi::OpEnd{};
     switch (step_++) {
       case 0: {  // read own block plus one-row halos from the neighbours
-        mpi::IoCall call;
-        call.file = grid_;
+        mpi::IoCall call = ctx.new_call(grid_);  // reuses the last call's storage
         const std::uint64_t base = (iter_ * ctx.nprocs + ctx.rank) * block_;
         call.segments.push_back(pfs::Segment{base, block_});
         if (ctx.rank > 0)
@@ -40,8 +39,7 @@ class StencilProgram final : public mpi::Program {
       case 1:  // the stencil sweep itself
         return mpi::OpCompute{sim::msec(3)};
       case 2: {  // append this iteration's result strip
-        mpi::IoCall call;
-        call.file = out_;
+        mpi::IoCall call = ctx.new_call(out_);
         call.is_write = true;
         call.segments.push_back(pfs::Segment{
             (iter_ * ctx.nprocs + ctx.rank) * (block_ / 4), block_ / 4});

@@ -101,7 +101,7 @@ void DualParDriver::read_path(mpi::Process& proc, const mpi::IoCall& call,
   mpi::Job& job = proc.job();
   JobState& st = state_for(job);
   proc.set_suspended(true);
-  st.pending.push_back(Pending{&proc, call, std::move(done), /*write_hold=*/false});
+  st.pending.push_back(Pending{&proc, &call, std::move(done)});
 
   if (st.ghosts.find(proc.global_id()) == st.ghosts.end()) {
     ++stats_.ghost_forks;
@@ -142,8 +142,7 @@ void DualParDriver::write_path(mpi::Process& proc, const mpi::IoCall& call,
         if (jst.dirty_bytes[proc.global_id()] >= params_.cache_quota) {
           // Cache full for this process: hold it until the write-back cycle.
           proc.set_suspended(true);
-          jst.pending.push_back(
-              Pending{&proc, {}, std::move(done), /*write_hold=*/true});
+          jst.pending.push_back(Pending{&proc, nullptr, std::move(done)});
           maybe_start_cycle(job);
         } else {
           done();
@@ -466,20 +465,20 @@ void DualParDriver::resume_all(mpi::Job& job) {
 
   for (auto& p : pending) {
     p.proc->set_suspended(false);
-    if (p.write_hold) {
+    if (p.call == nullptr) {  // write hold
       p.done();
       continue;
     }
-    bool covered = !p.call.segments.empty();
-    for (const auto& s : p.call.segments)
-      covered = covered && cache_.covers(p.call.file, s);
+    const mpi::IoCall& call = *p.call;
+    bool covered = !call.segments.empty();
+    for (const auto& s : call.segments) covered = covered && cache_.covers(call.file, s);
     if (covered) {
-      serve_from_cache(*p.proc, p.call, std::move(p.done));
+      serve_from_cache(*p.proc, call, std::move(p.done));
     } else {
       // Mis-predicted: serve directly from the file system (the call was
       // observed when it first arrived).
-      stats_.miss_direct_bytes += p.call.total_bytes();
-      raw_io(*p.proc, p.call, std::move(p.done));
+      stats_.miss_direct_bytes += call.total_bytes();
+      raw_io(*p.proc, call, std::move(p.done));
     }
   }
 }

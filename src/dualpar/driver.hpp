@@ -64,9 +64,11 @@ class DualParDriver : public mpiio::VanillaDriver {
  private:
   struct Pending {
     mpi::Process* proc;
-    mpi::IoCall call;
+    /// The read miss's call record, valid until `done` is invoked
+    /// (IoDriver::io); null for a process held on its write quota, whose
+    /// call already finished.
+    const mpi::IoCall* call;
     sim::UniqueFunction done;
-    bool write_hold = false;  ///< held on write quota rather than a read miss
   };
 
   struct JobState {

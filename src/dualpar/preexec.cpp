@@ -57,7 +57,8 @@ void PreexecDriver::io(mpi::Process& proc, const mpi::IoCall& call,
     // The prefetch for this data is on the wire; park the call until the
     // fill lands.
     ++stats_.waits;
-    st.waiting = std::make_unique<PState::Waiting>(PState::Waiting{call, std::move(done)});
+    st.waiting = &call;
+    st.waiting_done = std::move(done);
     return;
   }
   // Not predicted (or prefetching lags): fetch it ourselves, as the real
@@ -113,9 +114,9 @@ void PreexecDriver::issue_prefetch(mpi::Process& proc, PState& st, mpi::IoCall c
                   cache_.insert(call_shared->file, s, proc.global_id(),
                                 /*prefetched=*/true);
               }
-              if (st.waiting && covered_by_cache(st.waiting->call)) {
-                auto waiting = std::move(st.waiting);
-                serve_hit(proc, st, waiting->call, std::move(waiting->done));
+              if (st.waiting && covered_by_cache(*st.waiting)) {
+                const mpi::IoCall& waiting = *std::exchange(st.waiting, nullptr);
+                serve_hit(proc, st, waiting, std::move(st.waiting_done));
               }
               pump(proc, st);
             });
@@ -159,11 +160,11 @@ void PreexecDriver::pump(mpi::Process& proc, PState& st) {
   }
   // Stalled (window full or program over) with a parked reader whose data is
   // neither cached nor on the wire: rescue it with a direct fetch.
-  if (st.waiting && !covered_by_inflight(st, st.waiting->call) &&
-      !covered_by_cache(st.waiting->call)) {
-    auto waiting = std::move(st.waiting);
+  if (st.waiting && !covered_by_inflight(st, *st.waiting) &&
+      !covered_by_cache(*st.waiting)) {
+    const mpi::IoCall& waiting = *std::exchange(st.waiting, nullptr);
     ++stats_.direct_misses;
-    VanillaDriver::io(proc, waiting->call, std::move(waiting->done));
+    VanillaDriver::io(proc, waiting, std::move(st.waiting_done));
   }
 }
 

@@ -55,22 +55,27 @@ void Process::handle(OpCompute op) {
 void Process::handle(OpIo op) {
   state_ = ProcState::kBlockedIo;
   const sim::Time t0 = eng_.now();
-  auto call = std::make_shared<IoCall>(std::move(op.call));
-  job_.driver().io(*this, *call, [this, t0, call] {
-    io_time_ += eng_.now() - t0;
-    record_latency(call->is_write, eng_.now() - t0);
-    if (call->is_write) {
-      bytes_written_ += call->total_bytes();
-    } else {
-      bytes_read_ += call->total_bytes();
-      // Synthesize the content "seen" by the application so data-dependent
-      // programs can compute their next offsets in the normal run.
-      if (!call->segments.empty())
-        ctx_.last_read_value =
-            sim::content_hash(call->file, call->segments.front().offset);
-    }
-    advance();
-  });
+  call_ = std::move(op.call);
+  // Nothing here may touch call_ after io(): an inline `done` has already
+  // finished it and possibly started the next call.
+  job_.driver().io(*this, call_, sim::inline_fn([this, t0] { finish_io(t0); }));
+}
+
+void Process::finish_io(sim::Time t0) {
+  const sim::Time latency = eng_.now() - t0;
+  io_time_ += latency;
+  record_latency(call_.is_write, latency);
+  if (call_.is_write) {
+    bytes_written_ += call_.total_bytes();
+  } else {
+    bytes_read_ += call_.total_bytes();
+    // Synthesize the content "seen" by the application so data-dependent
+    // programs can compute their next offsets in the normal run.
+    if (!call_.segments.empty())
+      ctx_.last_read_value = sim::content_hash(call_.file, call_.segments.front().offset);
+  }
+  ctx_.recycle_segments(std::move(call_.segments));
+  advance();
 }
 
 void Process::handle(OpBarrier) {

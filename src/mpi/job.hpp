@@ -30,8 +30,13 @@ class IoDriver {
  public:
   virtual ~IoDriver() = default;
 
-  /// Serve one I/O call of `proc`; `done` resumes the process. The caller
-  /// keeps `call` alive until `done` has run, so drivers may hold a pointer.
+  /// Serve one I/O call of `proc`; `done` resumes the process. `call` is the
+  /// process's own in-flight call record (Process keeps it in a member, not
+  /// on the heap): it stays valid and unchanged until `done` is invoked, so
+  /// a driver may park a pointer to it instead of a copy. Invoking `done`
+  /// ends the call: the process recycles its segment storage and may start
+  /// its next call before `done` returns, so a driver never reads `call`
+  /// after invoking `done`. `done` may be invoked before io() returns.
   virtual void io(Process& proc, const IoCall& call, sim::UniqueFunction done) = 0;
 
   /// Notifications the DualPar cycle coordinator relies on.
@@ -99,6 +104,8 @@ class Process {
   void handle(OpSend op);
   void handle(OpRecv op);
   void handle(OpEnd op);
+  /// Completion of call_: accounting, segment storage back to ctx_, next op.
+  void finish_io(sim::Time t0);
 
   sim::Engine& eng_;
   Job& job_;
@@ -107,6 +114,9 @@ class Process {
   std::unique_ptr<Program> prog_;
   cluster::ComputeNode& node_;
   ProgramContext ctx_;
+  /// The in-flight I/O call (IoDriver::io's `call`); its segment storage
+  /// returns to ctx_ when the call completes.
+  IoCall call_;
   ProcState state_ = ProcState::kRunning;
   sim::Time io_time_ = 0;
   sim::Time compute_time_ = 0;

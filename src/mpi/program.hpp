@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "pfs/layout.hpp"
+#include "sim/slab.hpp"
 #include "sim/time.hpp"
 
 namespace dpar::mpi {
@@ -72,6 +74,26 @@ struct ProgramContext {
   /// Synthesized content of the most recent read (set only in normal runs);
   /// data-dependent programs derive their next offsets from it.
   std::optional<std::uint64_t> last_read_value;
+
+  /// An empty call on `file` whose segment list is the storage recycled from
+  /// the previous call. Programs build every IoCall through it; the process
+  /// hands the finished call's list back (recycle_segments), so steady-state
+  /// calls reuse one buffer instead of allocating their own.
+  IoCall new_call(pfs::FileId file) {
+    IoCall call;
+    call.file = file;
+    call.segments = std::exchange(segments_, {});
+    return call;
+  }
+  /// Return a finished call's segment list for reuse. A list grown past
+  /// sim::kRetainedCapacity by a burst is freed instead of kept.
+  void recycle_segments(std::vector<pfs::Segment>&& segs) {
+    sim::clear_bounded(segs);
+    segments_ = std::move(segs);
+  }
+
+ private:
+  std::vector<pfs::Segment> segments_;
 };
 
 class Program {

@@ -7,26 +7,22 @@ namespace dpar::mpiio {
 
 namespace {
 
+using Run = TwoPhaseScratch::Run;
+
 bool by_offset(const pfs::Segment& a, const pfs::Segment& b) {
   return a.offset < b.offset;
 }
 
-/// One rank's segment list, keyed by its first nonempty offset.
-struct Run {
-  std::uint64_t head;
-  const pfs::Segment* segs;
-  std::uint32_t size;
-  std::uint32_t col;  ///< traffic-table column of the rank's node
-};
-
 /// Visit segment i of every run in run order, then segment i + 1, and so
 /// on, while `fn(segment, column)` returns true; false if it stopped early.
-/// Exhausted runs drop out, so the walk costs O(segments + runs).
+/// Exhausted runs drop out of `live` (a working copy of `runs`), so the walk
+/// costs O(segments + runs).
 template <class Fn>
-bool visit_interleaved(std::vector<Run> runs, Fn&& fn) {
-  for (std::uint32_t i = 0; !runs.empty(); ++i) {
-    std::erase_if(runs, [i](const Run& r) { return i >= r.size; });
-    for (const Run& r : runs)
+bool visit_interleaved(const std::vector<Run>& runs, std::vector<Run>& live, Fn&& fn) {
+  live.assign(runs.begin(), runs.end());
+  for (std::uint32_t i = 0; !live.empty(); ++i) {
+    std::erase_if(live, [i](const Run& r) { return i >= r.size; });
+    for (const Run& r : live)
       if (!fn(r.segs[i], r.col)) return false;
   }
   return true;
@@ -34,9 +30,11 @@ bool visit_interleaved(std::vector<Run> runs, Fn&& fn) {
 
 }  // namespace
 
-TwoPhasePlan plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_write,
-                            const CollectiveParams& params) {
-  TwoPhasePlan plan;
+void plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_write,
+                    const CollectiveParams& params, TwoPhasePlan& plan,
+                    TwoPhaseScratch& scratch) {
+  plan.messages.clear();
+  plan.shuffle_bytes = 0;
   std::uint64_t lo = UINT64_MAX, hi = 0, useful = 0;
   for (const auto& r : ranks) {
     for (const auto& s : *r.segments) {
@@ -46,36 +44,45 @@ TwoPhasePlan plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_writ
       useful += s.length;
     }
   }
-  if (useful == 0) return plan;
+  if (useful == 0) {
+    plan.aggs.clear();
+    return;
+  }
 
   // Aggregators: one per distinct compute node hosting participants, by
   // node id, each using its first-listed rank's context. The distinct nodes
   // are also the columns of the traffic table.
-  std::vector<std::pair<net::NodeId, std::uint32_t>> by_node(ranks.size());
+  auto& by_node = scratch.by_node;
+  auto& nodes = scratch.nodes;
+  auto& column = scratch.column;
+  by_node.resize(ranks.size());
   for (std::uint32_t i = 0; i < ranks.size(); ++i) by_node[i] = {ranks[i].node, i};
   std::sort(by_node.begin(), by_node.end());
-  std::vector<net::NodeId> nodes;
-  std::vector<std::uint32_t> column(ranks.size());
+  nodes.clear();
+  column.resize(ranks.size());
   for (const auto& [node, i] : by_node) {
-    if (nodes.empty() || nodes.back() != node) {
-      nodes.push_back(node);
-      plan.aggs.push_back({node, ranks[i].context, {}});
-    }
+    if (nodes.empty() || nodes.back().first != node) nodes.emplace_back(node, i);
     column[i] = static_cast<std::uint32_t>(nodes.size() - 1);
   }
-  if (params.max_aggregators > 0 && plan.aggs.size() > params.max_aggregators)
-    plan.aggs.resize(params.max_aggregators);
-  const std::uint64_t nagg = plan.aggs.size();
+  std::size_t naggs = nodes.size();
+  if (params.max_aggregators > 0)
+    naggs = std::min<std::size_t>(naggs, params.max_aggregators);
+  plan.aggs.resize(naggs);  // kept aggregators keep their segment storage
+  for (std::size_t a = 0; a < naggs; ++a) {
+    TwoPhasePlan::Aggregator& agg = plan.aggs[a];
+    agg.node = nodes[a].first;
+    agg.context = ranks[nodes[a].second].context;
+    agg.segs.clear();
+    agg.rmw = false;
+  }
+  const std::uint64_t nagg = naggs;
   const std::uint64_t ncols = nodes.size();
   const std::uint64_t domain = (hi - lo + nagg - 1) / nagg;
 
   // Pieces and payload per (aggregator, rank node), dense and row-major so
   // the message list comes out in (aggregator, node) order.
-  struct Cell {
-    std::uint64_t pieces = 0;
-    std::uint64_t bytes = 0;
-  };
-  std::vector<Cell> table(nagg * ncols);
+  auto& table = scratch.table;
+  table.assign(nagg * ncols, TwoPhaseScratch::Cell{});
 
   // Split one segment over the file domains. A piece that starts inside or
   // at the end of its aggregator's last extent extends it; any other opens
@@ -98,7 +105,7 @@ TwoPhasePlan plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_writ
       } else {
         segs.push_back(pfs::Segment{off, take});
       }
-      Cell& cell = table[agg * ncols + col];
+      TwoPhaseScratch::Cell& cell = table[agg * ncols + col];
       ++cell.pieces;
       cell.bytes += take;
       off += take;
@@ -112,8 +119,8 @@ TwoPhasePlan plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_writ
   // rows; checked in one pass) and rank-major (each rank's block follows
   // the previous one's). Anything else is sorted below; the coalesced
   // union does not depend on the order.
-  std::vector<Run> runs;
-  runs.reserve(ranks.size());
+  auto& runs = scratch.runs;
+  runs.clear();
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     const auto& segs = *ranks[i].segments;
     const auto first = std::find_if(segs.begin(), segs.end(),
@@ -131,8 +138,8 @@ TwoPhasePlan plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_writ
     prev = s.offset;
     return true;
   };
-  if (visit_interleaved(runs, ascends)) {
-    visit_interleaved(std::move(runs), [&](const pfs::Segment& s, std::uint32_t col) {
+  if (visit_interleaved(runs, scratch.live, ascends)) {
+    visit_interleaved(runs, scratch.live, [&](const pfs::Segment& s, std::uint32_t col) {
       place(s, col);
       return true;
     });
@@ -168,26 +175,25 @@ TwoPhasePlan plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_writ
                        static_cast<double>(use) / static_cast<double>(span) >=
                            params.sieve_min_density;
     if (!dense) continue;
-    if (!is_write) {
-      a.segs = {pfs::Segment{a.segs.front().offset, span}};
-    } else if (params.write_sieving) {
-      // RMW: the whole span is read first, then written back patched.
-      a.segs = {pfs::Segment{a.segs.front().offset, span}};
-      a.rmw = true;
+    if (!is_write || params.write_sieving) {
+      // A write sieves as RMW: the whole span is read first, then written
+      // back patched.
+      a.segs.front().length = span;
+      a.segs.resize(1);
+      a.rmw = is_write;
     }
   }
 
   for (std::uint64_t a = 0; a < nagg; ++a) {
     for (std::uint64_t c = 0; c < ncols; ++c) {
-      const Cell& cell = table[a * ncols + c];
+      const TwoPhaseScratch::Cell& cell = table[a * ncols + c];
       if (cell.pieces == 0) continue;
       std::uint64_t request = 64 + 16 * cell.pieces;
       if (is_write) request += cell.bytes;  // ship payload with descriptors
-      plan.messages.push_back({nodes[c], plan.aggs[a].node, request, cell.bytes});
+      plan.messages.push_back({nodes[c].first, plan.aggs[a].node, request, cell.bytes});
       plan.shuffle_bytes += cell.bytes;
     }
   }
-  return plan;
 }
 
 void CollectiveDriver::io(mpi::Process& proc, const mpi::IoCall& call,
@@ -199,125 +205,134 @@ void CollectiveDriver::io(mpi::Process& proc, const mpi::IoCall& call,
   if (env_.observer)
     env_.observer->observe(proc.job().id(), call.file, call.segments,
                            env_.fs.engine().now());
-  Epoch& epoch = epochs_[proc.job().id()];
+  Epoch& epoch = epoch_for(proc.job());
   epoch.entries.push_back(Entry{&proc, &call, std::move(done)});
-  if (epoch.entries.size() >= proc.job().nprocs() - epoch.finished)
-    run_round(proc.job().id());
+  if (epoch.entries.size() >= proc.job().nprocs() - epoch.finished) run_round(epoch);
 }
 
 void CollectiveDriver::on_process_end(mpi::Process& proc) {
   // A rank finishing can complete a pending round (remaining live ranks all
   // arrived already).
-  Epoch& epoch = epochs_[proc.job().id()];
+  Epoch& epoch = epoch_for(proc.job());
   ++epoch.finished;
   const std::uint32_t live = proc.job().nprocs() - epoch.finished;
   if (!epoch.entries.empty() && epoch.entries.size() >= live && live > 0)
-    run_round(proc.job().id());
+    run_round(epoch);
 }
 
-void CollectiveDriver::run_round(std::uint32_t job_id) {
+CollectiveDriver::Epoch& CollectiveDriver::epoch_for(mpi::Job& job) {
+  if (job.id() >= epochs_.size()) epochs_.resize(job.id() + 1);
+  return epochs_[job.id()];
+}
+
+void CollectiveDriver::run_round(Epoch& epoch) {
   ++rounds_;
-  auto r = std::make_shared<Round>();
-  r->entries = std::move(epochs_[job_id].entries);
-  epochs_[job_id].entries.clear();
-  sim::Engine& eng = env_.fs.engine();
+  const std::uint32_t slot = round_pool_.acquire();
+  Round& r = round_pool_.at(slot);
+  // The epoch takes the slot's drained entry list in exchange.
+  r.entries.swap(epoch.entries);
 
   // One target file per round (benchmarks obey this, and ROMIO plans per
   // file handle anyway).
-  r->file = r->entries[0].call->file;
-  r->is_write = r->entries[0].call->is_write;
-  std::vector<TwoPhaseRank> ranks;
-  ranks.reserve(r->entries.size());
-  for (const auto& e : r->entries)
-    ranks.push_back({e.proc->node().id(), e.proc->global_id(), &e.call->segments});
-  r->plan = plan_two_phase(ranks, r->is_write, params_);
+  r.file = r.entries[0].call->file;
+  r.is_write = r.entries[0].call->is_write;
+  ranks_.clear();
+  for (const auto& e : r.entries)
+    ranks_.push_back({e.proc->node().id(), e.proc->global_id(), &e.call->segments});
+  plan_two_phase(ranks_, r.is_write, params_, r.plan, scratch_);
 
-  if (r->plan.aggs.empty()) {  // nothing to move; release everyone after a barrier hop
-    std::vector<sim::UniqueFunction> dones;
-    dones.reserve(r->entries.size());
-    for (auto& e : r->entries) dones.push_back(std::move(e.done));
-    eng.after_all(sim::usec(100), std::move(dones));
+  if (r.plan.aggs.empty()) {  // nothing to move; release everyone after a barrier hop
+    r.cpu = sim::usec(100);
+    finish_round_(slot);
     return;
   }
 
   // Exchange bookkeeping CPU: every rank packs/unpacks state that grows with
   // the participant count.
-  r->cpu = params_.exchange_cpu_per_rank * static_cast<sim::Time>(r->entries.size());
+  r.cpu = params_.exchange_cpu_per_rank * static_cast<sim::Time>(r.entries.size());
 
   // Phase 1: metadata exchange (everyone ships request lists to aggregators),
   // plus, for writes, the data shuffle owner -> aggregator.
-  if (r->is_write) shuffle_bytes_ += r->plan.shuffle_bytes;
-  r->pending = r->plan.messages.size();
-  if (r->pending == 0) {
-    aggregate_io_(r);
+  if (r.is_write) shuffle_bytes_ += r.plan.shuffle_bytes;
+  r.pending = r.plan.messages.size();
+  if (r.pending == 0) {
+    aggregate_io_(slot);
     return;
   }
-  for (const auto& m : r->plan.messages) {
-    env_.net.send(m.rank_node, m.agg_node, m.request_bytes, [this, r] {
-      if (--r->pending == 0) aggregate_io_(r);
-    });
+  for (const auto& m : r.plan.messages) {
+    env_.net.send(m.rank_node, m.agg_node, m.request_bytes, sim::inline_fn([this, slot] {
+                    if (--round_pool_.at(slot).pending == 0) aggregate_io_(slot);
+                  }));
   }
 }
 
-void CollectiveDriver::aggregate_io_(const std::shared_ptr<Round>& r) {
-  r->pending = 0;
-  for (const auto& a : r->plan.aggs)
-    if (!a.segs.empty()) ++r->pending;
-  if (r->pending == 0) {
-    finish_round_(*r);
+void CollectiveDriver::aggregate_io_(std::uint32_t slot) {
+  Round& r = round_pool_.at(slot);
+  r.pending = 0;
+  for (const auto& a : r.plan.aggs)
+    if (!a.segs.empty()) ++r.pending;
+  if (r.pending == 0) {
+    finish_round_(slot);
     return;
   }
-  for (const auto& a : r->plan.aggs) {
+  for (std::size_t i = 0; i < r.plan.aggs.size(); ++i) {
+    const TwoPhasePlan::Aggregator& a = r.plan.aggs[i];
     if (a.segs.empty()) continue;
     pfs::Client& client = env_.clients.for_node(a.node);
     if (a.rmw) {
       // Write sieving: fetch the span, patch in memory, write it back.
-      client.io(r->file, a.segs, /*is_write=*/false, a.context,
-                [this, r, &client, &a](std::uint64_t, fault::Status st) {
-                  note_io_status(env_, st);
-                  client.io(r->file, a.segs, /*is_write=*/true, a.context,
-                            [this, r](std::uint64_t, fault::Status wst) {
-                              note_io_status(env_, wst);
-                              after_aggregate_io_(r);
-                            });
-                });
+      auto write_back = [this, slot, &client, &a](std::uint64_t, fault::Status st) {
+        note_io_status(env_, st);
+        client.io(round_pool_.at(slot).file, a.segs, /*is_write=*/true, a.context,
+                  sim::inline_fn([this, slot](std::uint64_t, fault::Status wst) {
+                    note_io_status(env_, wst);
+                    after_aggregate_io_(slot);
+                  }));
+      };
+      client.io(r.file, a.segs, /*is_write=*/false, a.context,
+                sim::inline_fn(write_back));
     } else {
-      client.io(r->file, a.segs, r->is_write, a.context,
-                [this, r](std::uint64_t, fault::Status st) {
+      client.io(r.file, a.segs, r.is_write, a.context,
+                sim::inline_fn([this, slot](std::uint64_t, fault::Status st) {
                   note_io_status(env_, st);
-                  after_aggregate_io_(r);
-                });
+                  after_aggregate_io_(slot);
+                }));
     }
   }
 }
 
-void CollectiveDriver::after_aggregate_io_(const std::shared_ptr<Round>& r) {
-  if (--r->pending > 0) return;
-  if (r->is_write) {  // data travelled before the write; just release
-    finish_round_(*r);
+void CollectiveDriver::after_aggregate_io_(std::uint32_t slot) {
+  Round& r = round_pool_.at(slot);
+  if (--r.pending > 0) return;
+  if (r.is_write) {  // data travelled before the write; just release
+    finish_round_(slot);
     return;
   }
   // Read shuffle: aggregators scatter data to owner ranks.
-  r->pending = r->plan.messages.size();
-  if (r->pending == 0) {
-    finish_round_(*r);
+  r.pending = r.plan.messages.size();
+  if (r.pending == 0) {
+    finish_round_(slot);
     return;
   }
-  shuffle_bytes_ += r->plan.shuffle_bytes;
-  for (const auto& m : r->plan.messages) {
-    env_.net.send(m.agg_node, m.rank_node, m.payload_bytes, [this, r] {
-      if (--r->pending == 0) finish_round_(*r);
-    });
+  shuffle_bytes_ += r.plan.shuffle_bytes;
+  for (const auto& m : r.plan.messages) {
+    env_.net.send(m.agg_node, m.rank_node, m.payload_bytes, sim::inline_fn([this, slot] {
+                    if (--round_pool_.at(slot).pending == 0) finish_round_(slot);
+                  }));
   }
 }
 
-void CollectiveDriver::finish_round_(Round& r) {
+void CollectiveDriver::finish_round_(std::uint32_t slot) {
   // One completion event per collective round instead of one per rank;
   // consecutive sequence numbers cannot interleave, so order is unchanged.
-  std::vector<sim::UniqueFunction> dones;
-  dones.reserve(r.entries.size());
-  for (auto& e : r.entries) dones.push_back(std::move(e.done));
-  env_.fs.engine().after_all(r.cpu, std::move(dones));
+  // A resumed rank may start the next round from inside the loop; that
+  // round takes another slot, since this one is released only after it.
+  env_.fs.engine().after(round_pool_.at(slot).cpu, sim::inline_fn([this, slot] {
+    Round& r = round_pool_.at(slot);
+    for (Entry& e : r.entries) e.done();
+    r.entries.clear();
+    round_pool_.release(slot);
+  }));
 }
 
 }  // namespace dpar::mpiio

@@ -12,14 +12,14 @@
 //
 // The simulator's cost for one round is linear in its segments for the
 // common layouts. Pieces land in ascending order and coalesce as they go.
-// Traffic sums go into a dense (aggregator x node) table, and nothing is
-// allocated per piece.
+// Traffic sums go into a dense (aggregator x node) table. Rounds, plans and
+// the planner's scratch are pooled in the driver, so a steady run of rounds
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mpi/job.hpp"
@@ -74,11 +74,37 @@ struct TwoPhasePlan {
   std::uint64_t shuffle_bytes = 0;
 };
 
-/// Plan one round (pure: schedules nothing). One aggregator per distinct
-/// compute node, by ascending node id, capped at `max_aggregators`; the
-/// accessed extent splits into equal contiguous file domains, one each.
-TwoPhasePlan plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_write,
-                            const CollectiveParams& params);
+/// Working storage of plan_two_phase. Only its capacity carries over from
+/// one round to the next.
+struct TwoPhaseScratch {
+  /// One rank's segment list, keyed by its first nonempty offset.
+  struct Run {
+    std::uint64_t head;
+    const pfs::Segment* segs;
+    std::uint32_t size;
+    std::uint32_t col;  ///< traffic-table column of the rank's node
+  };
+  /// Pieces and payload of one (aggregator, rank node) traffic-table cell.
+  struct Cell {
+    std::uint64_t pieces = 0;
+    std::uint64_t bytes = 0;
+  };
+  std::vector<std::pair<net::NodeId, std::uint32_t>> by_node;  ///< (node, rank index)
+  std::vector<std::pair<net::NodeId, std::uint32_t>> nodes;    ///< (node, first rank)
+  std::vector<std::uint32_t> column;  ///< per rank index
+  std::vector<Cell> table;            ///< aggregator-major
+  std::vector<Run> runs;
+  std::vector<Run> live;  ///< runs still being visited
+};
+
+/// Plan one round into `plan` (pure: schedules nothing). One aggregator per
+/// distinct compute node, by ascending node id, capped at `max_aggregators`;
+/// the accessed extent splits into equal contiguous file domains, one each.
+/// `plan` is overwritten; it and `scratch` keep their capacity, so a caller
+/// that reuses them plans steady rounds without allocating.
+void plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_write,
+                    const CollectiveParams& params, TwoPhasePlan& plan,
+                    TwoPhaseScratch& scratch);
 
 class CollectiveDriver : public VanillaDriver {
  public:
@@ -97,14 +123,16 @@ class CollectiveDriver : public VanillaDriver {
  private:
   struct Entry {
     mpi::Process* proc;
-    const mpi::IoCall* call;  ///< valid until `done` runs (IoDriver::io)
+    const mpi::IoCall* call;  ///< valid until `done` is invoked (IoDriver::io)
     sim::UniqueFunction done;
   };
   struct Epoch {
     std::vector<Entry> entries;
     std::uint32_t finished = 0;  ///< ranks of the job that have ended
   };
-  /// A round in flight; every phase's callbacks share it.
+  /// A round in flight, pooled in round_pool_: every phase's callbacks
+  /// capture `{this, slot}`, and the entry list and plan keep their capacity
+  /// for the next round that takes the slot.
   struct Round {
     std::vector<Entry> entries;
     TwoPhasePlan plan;
@@ -114,13 +142,20 @@ class CollectiveDriver : public VanillaDriver {
     std::size_t pending = 0;  ///< messages or aggregator I/Os of the current phase
   };
 
-  void run_round(std::uint32_t job_id);
-  void aggregate_io_(const std::shared_ptr<Round>& r);
-  void after_aggregate_io_(const std::shared_ptr<Round>& r);
-  void finish_round_(Round& r);
+  Epoch& epoch_for(mpi::Job& job);
+  void run_round(Epoch& epoch);
+  void aggregate_io_(std::uint32_t slot);
+  void after_aggregate_io_(std::uint32_t slot);
+  /// Resume the round's ranks after its exchange CPU, then free the slot.
+  void finish_round_(std::uint32_t slot);
 
   CollectiveParams params_;
-  std::map<std::uint32_t, Epoch> epochs_;
+  /// Indexed by job id: Testbed numbers jobs densely from 0, and a
+  /// hand-built job with a larger id grows the table on first use.
+  std::vector<Epoch> epochs_;
+  sim::Slab<Round> round_pool_;
+  std::vector<TwoPhaseRank> ranks_;  ///< planner input, rebuilt every round
+  TwoPhaseScratch scratch_;
   std::uint64_t rounds_ = 0;
   std::uint64_t shuffle_bytes_ = 0;
 };

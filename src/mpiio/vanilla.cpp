@@ -16,35 +16,41 @@ void VanillaDriver::io(mpi::Process& proc, const mpi::IoCall& call,
 
 void VanillaDriver::raw_io(mpi::Process& proc, const mpi::IoCall& call,
                            sim::UniqueFunction done) {
+  const std::uint32_t slot = walks_.acquire();
+  PieceWalk& w = walks_.at(slot);
+  w.proc = &proc;
+  w.call = &call;
+  w.index = 0;
+  w.done = std::move(done);
   if (piecewise_strided_ && call.segments.size() > 1) {
-    const std::uint32_t slot = walks_.acquire();
-    PieceWalk& w = walks_.at(slot);
-    w.proc = &proc;
-    w.call = call;  // copy-assign: reuses the pooled segment storage
-    w.index = 0;
-    w.done = std::move(done);
     issue_piece(slot);
     return;
   }
+  // One list-I/O request for the whole call.
   pfs::Client& client = env_.clients.for_node(proc.node().id());
   client.io(call.file, call.segments, call.is_write, proc.global_id(),
-            [this, done = std::move(done)](std::uint64_t, fault::Status st) mutable {
+            sim::inline_fn([this, slot](std::uint64_t, fault::Status st) {
               note_io_status(env_, st);
               on_raw_status(st);
-              done();
-            });
+              finish_walk(slot);
+            }));
+}
+
+void VanillaDriver::finish_walk(std::uint32_t slot) {
+  sim::UniqueFunction done = std::move(walks_.at(slot).done);
+  walks_.release(slot);
+  done();
 }
 
 void VanillaDriver::issue_piece(std::uint32_t slot) {
   PieceWalk& w = walks_.at(slot);
-  if (w.index >= w.call.segments.size()) {
-    sim::UniqueFunction done = std::move(w.done);
-    walks_.release(slot);
-    done();
+  const mpi::IoCall& call = *w.call;
+  if (w.index >= call.segments.size()) {
+    finish_walk(slot);
     return;
   }
   pfs::Client& client = env_.clients.for_node(w.proc->node().id());
-  client.io(w.call.file, std::span(&w.call.segments[w.index], 1), w.call.is_write,
+  client.io(call.file, std::span(&call.segments[w.index], 1), call.is_write,
             w.proc->global_id(),
             sim::inline_fn([this, slot](std::uint64_t, fault::Status st) {
               // A failed piece is reported and the walk continues: the

@@ -41,12 +41,14 @@ class VanillaDriver : public mpi::IoDriver {
   IoEnv env_;
 
  private:
-  /// State of one piecewise strided call: the call is walked segment by
-  /// segment. Pooled, so the copied call keeps its segment storage for the
-  /// next walk.
+  /// State of one call on the request path: a piecewise strided call is
+  /// walked segment by segment, a list-I/O call goes out whole. It points at
+  /// the process's call record, which stays valid until the walk invokes
+  /// `done` (IoDriver::io), and parks `done` so per-request closures capture
+  /// only `{this, slot}`.
   struct PieceWalk {
     mpi::Process* proc = nullptr;
-    mpi::IoCall call;
+    const mpi::IoCall* call = nullptr;
     std::size_t index = 0;
     sim::UniqueFunction done;
   };
@@ -54,6 +56,8 @@ class VanillaDriver : public mpi::IoDriver {
   /// Issue the next contiguous piece of walk `slot`; per-piece callbacks
   /// capture only `{this, slot}`.
   void issue_piece(std::uint32_t slot);
+  /// Release walk `slot`, then invoke its `done`.
+  void finish_walk(std::uint32_t slot);
 
   bool piecewise_strided_ = true;
   sim::Slab<PieceWalk> walks_;

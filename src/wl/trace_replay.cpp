@@ -30,7 +30,7 @@ class TraceReplayProgram final : public mpi::Program {
   TraceReplayProgram(std::vector<TraceOp> ops, std::uint32_t rank)
       : ops_(std::move(ops)), rank_(rank) {}
 
-  mpi::Op next(mpi::ProgramContext&) override {
+  mpi::Op next(mpi::ProgramContext& ctx) override {
     while (pos_ < ops_.size() && ops_[pos_].rank != rank_) ++pos_;
     if (pos_ >= ops_.size()) return mpi::OpEnd{};
     const TraceOp& op = ops_[pos_++];
@@ -41,8 +41,7 @@ class TraceReplayProgram final : public mpi::Program {
         return mpi::OpBarrier{};
       case TraceOp::Kind::kRead:
       case TraceOp::Kind::kWrite: {
-        mpi::IoCall call;
-        call.file = op.file;
+        mpi::IoCall call = ctx.new_call(op.file);
         call.is_write = (op.kind == TraceOp::Kind::kWrite);
         call.segments.push_back(pfs::Segment{op.offset, op.length});
         return mpi::OpIo{std::move(call)};

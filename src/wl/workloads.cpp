@@ -46,8 +46,7 @@ class DemoProgram final : public Cloneable<DemoProgram> {
       if (cfg_.compute_per_call > 0) return OpCompute{cfg_.compute_per_call};
     }
     phase_ = Phase::kCompute;
-    IoCall call;
-    call.file = cfg_.file;
+    IoCall call = ctx.new_call(cfg_.file);
     call.is_write = cfg_.is_write;
     for (std::uint32_t k = 0; k < cfg_.segments_per_call; ++k) {
       const std::uint64_t seg = base + std::uint64_t{k} * ctx.nprocs + ctx.rank;
@@ -80,8 +79,7 @@ class MpiIoTestProgram final : public Cloneable<MpiIoTestProgram> {
         [[fallthrough]];
       case Phase::kIo: {
         phase_ = cfg_.barrier_every_call ? Phase::kBarrier : Phase::kCompute;
-        IoCall call;
-        call.file = cfg_.file;
+        IoCall call = ctx.new_call(cfg_.file);
         call.is_write = cfg_.is_write;
         call.collective = cfg_.collective;
         call.segments.push_back(Segment{offset, cfg_.request_size});
@@ -115,8 +113,7 @@ class HpioProgram final : public Cloneable<HpioProgram> {
     phase_ = Phase::kCompute;
     const std::uint64_t pitch = cfg_.region_size + cfg_.region_spacing;
     const std::uint64_t rank_base = std::uint64_t{ctx.rank} * cfg_.region_count * pitch;
-    IoCall call;
-    call.file = cfg_.file;
+    IoCall call = ctx.new_call(cfg_.file);
     call.is_write = cfg_.is_write;
     for (std::uint64_t r = 0; r < cfg_.regions_per_call && region_ < cfg_.region_count;
          ++r, ++region_) {
@@ -146,8 +143,7 @@ class IorProgram final : public Cloneable<IorProgram> {
     }
     phase_ = Phase::kCompute;
     pos_ += cfg_.request_size;
-    IoCall call;
-    call.file = cfg_.file;
+    IoCall call = ctx.new_call(cfg_.file);
     call.is_write = cfg_.is_write;
     call.collective = cfg_.collective;
     call.segments.push_back(Segment{offset, cfg_.request_size});
@@ -175,8 +171,7 @@ class NoncontigProgram final : public Cloneable<NoncontigProgram> {
     const std::uint64_t col = ctx.rank % cfg_.columns;
     std::uint64_t rows_per_call =
         std::max<std::uint64_t>(1, cfg_.bytes_per_call / (width * cfg_.columns));
-    IoCall call;
-    call.file = cfg_.file;
+    IoCall call = ctx.new_call(cfg_.file);
     call.is_write = cfg_.is_write;
     call.collective = cfg_.collective;
     for (std::uint64_t r = 0; r < rows_per_call && row_ < cfg_.rows; ++r, ++row_) {
@@ -209,8 +204,7 @@ class S3asimProgram final : public Cloneable<S3asimProgram> {
         const std::uint64_t len =
             std::min(frag_size, rng_.uniform_between(cfg_.min_size, cfg_.max_size));
         const std::uint64_t pos = rng_.uniform(frag_size - len + 1);
-        IoCall call;
-        call.file = cfg_.database_file;
+        IoCall call = ctx.new_call(cfg_.database_file);
         call.segments.push_back(Segment{fragment_ * frag_size + pos, len});
         step_ = Step::kCompute;
         return OpIo{std::move(call)};
@@ -222,8 +216,7 @@ class S3asimProgram final : public Cloneable<S3asimProgram> {
         // Append this query's results to the rank's region of the result file.
         const std::uint64_t len = rng_.uniform_between(cfg_.min_size, cfg_.max_size);
         const std::uint64_t region = cfg_.queries * cfg_.max_size;
-        IoCall call;
-        call.file = cfg_.result_file;
+        IoCall call = ctx.new_call(cfg_.result_file);
         call.is_write = true;
         call.segments.push_back(
             Segment{std::uint64_t{ctx.rank} * region + write_pos_, len});
@@ -271,8 +264,7 @@ class BtioProgram final : public Cloneable<BtioProgram> {
           return OpCompute{cfg_.compute_per_step};
         [[fallthrough]];
       case Phase::kIo: {
-        IoCall call;
-        call.file = cfg_.file;
+        IoCall call = ctx.new_call(cfg_.file);
         call.is_write = (pass_ == 0);
         call.collective = cfg_.collective;
         const std::uint64_t step_base = step_ * step_bytes;
@@ -324,7 +316,7 @@ class MasterWorkerProgram final : public Cloneable<MasterWorkerProgram> {
       seeded_ = true;
     }
     workers_ = ctx.nprocs - 1;
-    return ctx.rank == 0 ? master_next() : worker_next(ctx);
+    return ctx.rank == 0 ? master_next(ctx) : worker_next(ctx);
   }
 
 
@@ -332,7 +324,7 @@ class MasterWorkerProgram final : public Cloneable<MasterWorkerProgram> {
   static constexpr int kDispatchTag = 1;
   static constexpr int kResultTag = 2;
 
-  Op master_next() {
+  Op master_next(ProgramContext& ctx) {
     if (query_ >= cfg_.queries) return OpEnd{};
     switch (step_) {
       case 0:
@@ -343,8 +335,7 @@ class MasterWorkerProgram final : public Cloneable<MasterWorkerProgram> {
         return OpRecv{1 + query_ % workers_, kResultTag};
       default: {
         step_ = 0;
-        IoCall call;
-        call.file = cfg_.result_file;
+        IoCall call = ctx.new_call(cfg_.result_file);
         call.is_write = true;
         const std::uint64_t len = rng_.uniform_between(cfg_.min_size, cfg_.max_size);
         call.segments.push_back(Segment{write_pos_, len});
@@ -371,8 +362,7 @@ class MasterWorkerProgram final : public Cloneable<MasterWorkerProgram> {
         const std::uint64_t frag = rng_.uniform(cfg_.fragments);
         const std::uint64_t pos = rng_.uniform(frag_size - len + 1);
         step_ = 2;
-        IoCall call;
-        call.file = cfg_.database_file;
+        IoCall call = ctx.new_call(cfg_.database_file);
         call.segments.push_back(Segment{frag * frag_size + pos, len});
         return OpIo{std::move(call)};
       }
@@ -423,8 +413,7 @@ class DependentProgram final : public Cloneable<DependentProgram> {
     }
     prev_slot_ = slot;
     ++issued_;
-    IoCall call;
-    call.file = cfg_.file;
+    IoCall call = ctx.new_call(cfg_.file);
     call.segments.push_back(Segment{slot * cfg_.request_size, cfg_.request_size});
     return OpIo{std::move(call)};
   }

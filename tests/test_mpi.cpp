@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "harness/testbed.hpp"
 #include "mpi/job.hpp"
 #include "mpi/program.hpp"
+#include "sim/rng.hpp"
 #include "wl/workloads.hpp"
 
 namespace dpar::mpi {
@@ -185,6 +189,105 @@ TEST(MpiJob, RecentIoBandwidthReflectsTransfers) {
   const double bw = job.process(0).recent_io_bandwidth();
   EXPECT_GT(bw, 1e6);
   EXPECT_LT(bw, 130e6);
+}
+
+/// Completes every call synchronously inside io(), the tightest reading of
+/// IoDriver::io's contract: the call is read only before `done` is invoked.
+/// Records, per rank, what each call moved and the content its last read
+/// would have returned.
+struct InlineDriver : IoDriver {
+  struct Served {
+    std::uint64_t read = 0;
+    std::uint64_t written = 0;
+    std::optional<std::uint64_t> last_read;
+  };
+  std::vector<Served> by_rank;
+  std::uint64_t calls = 0;
+
+  void io(Process& proc, const IoCall& call, sim::UniqueFunction done) override {
+    if (proc.rank() >= by_rank.size()) by_rank.resize(proc.rank() + 1);
+    Served& s = by_rank[proc.rank()];
+    ++calls;
+    if (call.is_write) {
+      s.written += call.total_bytes();
+    } else {
+      s.read += call.total_bytes();
+      s.last_read = sim::content_hash(call.file, call.segments.front().offset);
+    }
+    done();
+  }
+  std::string name() const override { return "inline"; }
+};
+
+/// Wraps a program and counts the steps at which the context's last read
+/// value is not the one of the read the driver served last for this rank.
+class LastReadChecker final : public Program {
+ public:
+  LastReadChecker(std::unique_ptr<Program> inner, const InlineDriver& drv,
+                  std::uint64_t& mismatches)
+      : inner_(std::move(inner)), drv_(drv), mismatches_(mismatches) {}
+  Op next(ProgramContext& ctx) override {
+    const std::optional<std::uint64_t> want =
+        ctx.rank < drv_.by_rank.size() ? drv_.by_rank[ctx.rank].last_read : std::nullopt;
+    if (ctx.last_read_value != want) ++mismatches_;
+    return inner_->next(ctx);
+  }
+  std::unique_ptr<Program> clone() const override {
+    return std::make_unique<LastReadChecker>(inner_->clone(), drv_, mismatches_);
+  }
+
+ private:
+  std::unique_ptr<Program> inner_;
+  const InlineDriver& drv_;
+  std::uint64_t& mismatches_;
+};
+
+TEST(MpiJob, DriverCompletingInsideIoCountsEveryCallOnce) {
+  // `done` invoked before io() returns: the process finishes the call,
+  // recycles its segment storage and starts the next call (refilling the
+  // same storage) while the driver's io() frame is still live. Byte
+  // accounting and last_read_value must still see each call exactly once.
+  wl::BtioConfig c;
+  c.total_bytes = 4 << 20;
+  c.write_steps = 4;  // 102 rows per step: 7 calls between barriers
+  c.compute_per_step = sim::usec(50);
+  constexpr std::uint32_t kProcs = 4;
+
+  InlineDriver inline_drv;
+  std::uint64_t mismatches = 0;
+  harness::Testbed tb(small_config());
+  c.file = tb.create_file("btio", c.total_bytes);
+  auto& job = tb.add_job("inline", kProcs, inline_drv, [&](std::uint32_t) {
+    return std::make_unique<LastReadChecker>(wl::make_btio(c), inline_drv, mismatches);
+  }, dualpar::Policy::kForcedNormal);
+  tb.run();
+  ASSERT_TRUE(job.finished());
+  EXPECT_EQ(mismatches, 0u);
+
+  // Per rank and pass: 4 steps x 102 rows x a 2560-byte cell.
+  const std::uint64_t per_pass = 4 * 102 * (c.row_bytes / kProcs);
+  EXPECT_EQ(inline_drv.calls, 2u * kProcs * 4 * 7);
+  for (std::uint32_t r = 0; r < kProcs; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(job.process(r).bytes_written(), per_pass);
+    EXPECT_EQ(job.process(r).bytes_read(), per_pass);
+    EXPECT_EQ(inline_drv.by_rank[r].written, per_pass);
+    EXPECT_EQ(inline_drv.by_rank[r].read, per_pass);
+  }
+
+  // The same programs under the vanilla driver move the same bytes.
+  harness::Testbed ref(small_config());
+  c.file = ref.create_file("btio", c.total_bytes);
+  auto& ref_job = ref.add_job("vanilla", kProcs, ref.vanilla(), [&](std::uint32_t) {
+    return wl::make_btio(c);
+  }, dualpar::Policy::kForcedNormal);
+  ref.run();
+  ASSERT_TRUE(ref_job.finished());
+  EXPECT_EQ(job.total_bytes(), ref_job.total_bytes());
+  for (std::uint32_t r = 0; r < kProcs; ++r) {
+    EXPECT_EQ(job.process(r).bytes_read(), ref_job.process(r).bytes_read());
+    EXPECT_EQ(job.process(r).bytes_written(), ref_job.process(r).bytes_written());
+  }
 }
 
 }  // namespace

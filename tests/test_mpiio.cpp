@@ -237,8 +237,12 @@ void expect_same_plan(const TwoPhasePlan& got, const TwoPhasePlan& want) {
 TEST(TwoPhasePlanner, MatchesTheMapAndSortOracleOnRandomRounds) {
   // plan_two_phase (ordered visit, dense traffic table, coalesce-on-place)
   // against the frozen map-and-sort planner: same aggregator lists, RMW
-  // flags, message list in order, and shuffle volume.
+  // flags, message list in order, and shuffle volume. One plan and scratch
+  // serve every trial, as in the driver, so nothing may leak from a
+  // previous round of another shape.
   sim::Rng rng(0x2face);
+  TwoPhasePlan plan;
+  TwoPhaseScratch scratch;
   for (int trial = 0; trial < 600; ++trial) {
     const int layout = static_cast<int>(rng.uniform(4));
     const std::uint32_t nprocs = static_cast<std::uint32_t>(rng.uniform_between(1, 48));
@@ -267,16 +271,22 @@ TEST(TwoPhasePlanner, MatchesTheMapAndSortOracleOnRandomRounds) {
     const bool is_write = rng.chance(0.5);
 
     SCOPED_TRACE("trial " + std::to_string(trial));
-    expect_same_plan(plan_two_phase(ranks, is_write, params),
-                     reference::plan_two_phase(ranks, is_write, params));
+    plan_two_phase(ranks, is_write, params, plan, scratch);
+    expect_same_plan(plan, reference::plan_two_phase(ranks, is_write, params));
     if (::testing::Test::HasFailure()) return;
   }
 }
 
 TEST(TwoPhasePlanner, EmptyRoundPlansNothing) {
+  // Planned into a plan that still holds the previous round.
+  TwoPhasePlan plan;
+  TwoPhaseScratch scratch;
+  const std::vector<pfs::Segment> some = {{0, 4096}};
+  plan_two_phase({{0, 0, &some}}, /*is_write=*/true, {}, plan, scratch);
+  ASSERT_FALSE(plan.messages.empty());
   const std::vector<pfs::Segment> none, zero = {{4096, 0}};
   const std::vector<TwoPhaseRank> ranks = {{0, 0, &none}, {1, 1, &zero}};
-  const TwoPhasePlan plan = plan_two_phase(ranks, /*is_write=*/false, {});
+  plan_two_phase(ranks, /*is_write=*/false, {}, plan, scratch);
   EXPECT_TRUE(plan.aggs.empty());
   EXPECT_TRUE(plan.messages.empty());
   EXPECT_EQ(plan.shuffle_bytes, 0u);
