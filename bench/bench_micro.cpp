@@ -476,11 +476,11 @@ BENCHMARK(BM_StripeDecompose);
 /// The frozen per-chunk reference loop on the same segment, for a direct
 /// closed-form-vs-loop comparison in one report.
 void BM_StripeDecomposeRef(benchmark::State& state) {
-  pfs::StripeLayout layout{64 * 1024, 9};
-  layout.reference_decompose = true;
+  const pfs::StripeLayout layout{64 * 1024, 9};
   for (auto _ : state) {
     std::vector<std::vector<pfs::ServerRun>> per_server;
-    pfs::decompose_segment(layout, pfs::Segment{12345, 8 << 20}, per_server);
+    pfs::decompose_segment_reference(layout, pfs::Segment{12345, 8 << 20},
+                                     per_server);
     benchmark::DoNotOptimize(per_server.size());
   }
 }

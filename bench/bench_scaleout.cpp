@@ -63,10 +63,25 @@ struct DecomposeTotals {
   std::uint64_t bytes = 0;
 };
 
+/// The pre-change send path's decomposition: the frozen loop, which does not
+/// track first touches, plus the touched-server list derived from the same
+/// closed-form stripe window the closed form walks.
+void decompose_reference(const pfs::StripeLayout& layout, const pfs::Segment& seg,
+                         pfs::DecomposeScratch& scratch) {
+  const std::uint64_t first = seg.offset / layout.unit_bytes;
+  const std::uint64_t last = (seg.end() - 1) / layout.unit_bytes;
+  const std::uint64_t involved =
+      std::min(last - first + 1, std::uint64_t{layout.num_servers});
+  for (std::uint64_t i = 0; i < involved; ++i) {
+    const auto srv = static_cast<std::uint32_t>((first + i) % layout.num_servers);
+    if (scratch.per_server[srv].empty()) scratch.touched.push_back(srv);
+  }
+  pfs::decompose_segment_reference(layout, seg, scratch.per_server);
+}
+
 DecomposeTotals run_decompose(std::uint32_t servers, std::uint64_t iters,
                               bool reference) {
-  pfs::StripeLayout layout{64 * 1024, servers};
-  layout.reference_decompose = reference;
+  const pfs::StripeLayout layout{64 * 1024, servers};
   const std::uint64_t span = layout.unit_bytes * servers * 64;  // 64 units/server
   const std::uint64_t extent = span * 16;
   pfs::DecomposeScratch scratch;
@@ -75,8 +90,13 @@ DecomposeTotals run_decompose(std::uint32_t servers, std::uint64_t iters,
     // Unaligned offsets and lengths; edge-straddling by construction.
     const std::uint64_t offset = sim::splitmix64(i * 2 + 1) % extent;
     const std::uint64_t length = 1 + sim::splitmix64(i * 2 + 2) % span;
+    const pfs::Segment seg{offset, length};
     scratch.reset(servers);
-    decompose_segment(layout, pfs::Segment{offset, length}, scratch);
+    if (reference) {
+      decompose_reference(layout, seg, scratch);
+    } else {
+      decompose_segment(layout, seg, scratch);
+    }
     for (std::uint32_t s : scratch.touched) {
       totals.runs += scratch.per_server[s].size();
       for (const auto& r : scratch.per_server[s]) totals.bytes += r.length;

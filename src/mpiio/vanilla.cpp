@@ -22,11 +22,12 @@ void VanillaDriver::raw_io(mpi::Process& proc, const mpi::IoCall& call,
   w.call = &call;
   w.index = 0;
   w.done = std::move(done);
-  if (piecewise_strided_ && call.segments.size() > 1) {
+  if (call.segments.size() > 1) {
     issue_piece(slot);
     return;
   }
-  // One list-I/O request for the whole call.
+  // One request for the whole call; a zero-segment call completes through
+  // the client's zero-delay event.
   pfs::Client& client = env_.clients.for_node(proc.node().id());
   client.io(call.file, call.segments, call.is_write, proc.global_id(),
             sim::inline_fn([this, slot](std::uint64_t, fault::Status st) {

@@ -20,16 +20,13 @@ class VanillaDriver : public mpi::IoDriver {
 
   std::string name() const override { return "vanilla-mpiio"; }
 
-  /// Independent strided I/O issues one contiguous piece per round trip
-  /// ("a process issues its synchronous read requests one at a time", §II) —
-  /// the behaviour DualPar's request aggregation removes. Disable to grant
-  /// vanilla I/O full list-I/O batching (ablation).
-  void set_piecewise_strided(bool v) { piecewise_strided_ = v; }
-
  protected:
   /// Same request path as io() but without the ADIO observation hook — for
   /// wrappers (DualPar) that already observed the application call and only
-  /// delegate the transfer.
+  /// delegate the transfer. Independent strided I/O issues one contiguous
+  /// piece per round trip ("a process issues its synchronous read requests
+  /// one at a time", §II) — the behaviour DualPar's request aggregation
+  /// removes.
   void raw_io(mpi::Process& proc, const mpi::IoCall& call,
               sim::UniqueFunction done);
 
@@ -41,8 +38,8 @@ class VanillaDriver : public mpi::IoDriver {
   IoEnv env_;
 
  private:
-  /// State of one call on the request path: a piecewise strided call is
-  /// walked segment by segment, a list-I/O call goes out whole. It points at
+  /// State of one call on the request path: a strided call is walked
+  /// segment by segment, any other call goes out whole. It points at
   /// the process's call record, which stays valid until the walk invokes
   /// `done` (IoDriver::io), and parks `done` so per-request closures capture
   /// only `{this, slot}`.
@@ -59,7 +56,6 @@ class VanillaDriver : public mpi::IoDriver {
   /// Release walk `slot`, then invoke its `done`.
   void finish_walk(std::uint32_t slot);
 
-  bool piecewise_strided_ = true;
   sim::Slab<PieceWalk> walks_;
 };
 

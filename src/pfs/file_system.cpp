@@ -55,161 +55,9 @@ void Client::open(FileId file, sim::UniqueFunction done) {
 
 namespace {
 
-/// Control block for one robust (fault-injected) client I/O call.
-///
-/// Ownership is reference-counted: every closure that can reach the op — the
-/// per-shard timeout event, the request-delivery/reply chain through the
-/// network — holds one ref via an RAII OpRef. A dropped message destroys its
-/// closure unfired, which releases the ref automatically, so silent network
-/// loss can never leak the op. `done` fires when every shard has finished
-/// (reply, definitive error, or exhausted retries); the block itself is freed
-/// when the last ref goes away (e.g. a stale retransmitted reply still in
-/// flight after completion).
-struct IoOp {
-  FileSystem* fs;
-  net::NodeId client_node;
-  FileId file;
-  bool is_write;
-  std::uint64_t context;
-  std::uint64_t total_bytes;
-  fault::Status status = fault::Status::kOk;
-  std::uint32_t pending;
-  std::uint32_t refs = 0;
-  IoDoneFn done;
-
-  /// One per involved server.
-  struct Shard {
-    std::uint32_t server;
-    std::vector<ServerRun> runs;  ///< kept across attempts for retransmission
-    std::uint64_t req_msg;
-    std::uint64_t reply_msg;
-    std::uint32_t attempt = 0;  ///< attempts sent so far
-    bool completed = false;
-    sim::EventId timeout{};
-  };
-  std::vector<Shard> shards;
-
-  void unref() {
-    if (--refs == 0) delete this;
-  }
-};
-
-/// Move-only RAII reference to an IoOp; safe to capture in closures that may
-/// be destroyed without running (dropped messages, cancelled timeouts).
-struct OpRef {
-  IoOp* op;
-  explicit OpRef(IoOp* o) : op(o) { ++o->refs; }
-  OpRef(OpRef&& other) noexcept : op(other.op) { other.op = nullptr; }
-  OpRef(const OpRef&) = delete;
-  OpRef& operator=(const OpRef&) = delete;
-  OpRef& operator=(OpRef&&) = delete;
-  ~OpRef() {
-    if (op) op->unref();
-  }
-};
-
-void start_attempt(IoOp* op, std::size_t idx);
-
-/// A shard is done for good (reply arrived or retries exhausted).
-void finish_shard(IoOp* op, std::size_t idx, fault::Status st) {
-  IoOp::Shard& sh = op->shards[idx];
-  sh.completed = true;
-  op->status = fault::combine(op->status, st);
-  if (--op->pending == 0) {
-    ++op->fs->fault_injector()->counters().client_ops_finished;
-    // Move out first: `done` may start new I/O or otherwise re-enter.
-    IoDoneFn done = std::move(op->done);
-    if (done) done(op->total_bytes, op->status);
-  }
-}
-
-void on_reply(IoOp* op, std::size_t idx, std::uint32_t attempt, fault::Status st) {
-  IoOp::Shard& sh = op->shards[idx];
-  fault::FaultInjector& inj = *op->fs->fault_injector();
-  if (sh.completed || sh.attempt != attempt) {
-    // A retransmission raced the original: this reply answers a question the
-    // client is no longer asking.
-    ++inj.counters().client_stale_replies;
-    return;
-  }
-  if (sh.timeout) {
-    op->fs->engine().cancel(sh.timeout);
-    sh.timeout = {};
-  }
-  if (sh.attempt > 1) ++inj.counters().client_recoveries;
-  // Definitive server answers (including media errors) are final: the server
-  // already retried at the drive level, resending the request cannot help.
-  finish_shard(op, idx, st);
-}
-
-void on_timeout(IoOp* op, std::size_t idx) {
-  IoOp::Shard& sh = op->shards[idx];
-  sh.timeout = {};
-  if (sh.completed) return;
-  fault::FaultInjector& inj = *op->fs->fault_injector();
-  ++inj.counters().client_timeouts;
-  if (sh.attempt > inj.max_retries()) {
-    ++inj.counters().client_failures;
-    fault::Status st = fault::Status::kTimeout;
-    if (inj.server_down(sh.server)) {
-      if (inj.permanently_down(sh.server, op->fs->engine().now())) {
-        // Fail-stop server: "gone", not "slow" — the caller (and the repair
-        // manager) must not keep hoping for a restart.
-        ++inj.counters().client_permanent_failures;
-        st = fault::Status::kPermanentFailure;
-      } else {
-        st = fault::Status::kServerDown;
-      }
-    }
-    finish_shard(op, idx, st);
-    return;
-  }
-  ++inj.counters().client_retries;
-  op->fs->engine().after(inj.backoff(sh.attempt), [ref = OpRef(op), idx] {
-    start_attempt(ref.op, idx);
-  });
-}
-
-void start_attempt(IoOp* op, std::size_t idx) {
-  IoOp::Shard& sh = op->shards[idx];
-  ++sh.attempt;
-  const std::uint32_t attempt = sh.attempt;
-  fault::FaultInjector& inj = *op->fs->fault_injector();
-  sim::Engine& eng = op->fs->engine();
-  // Patience scales with the payload so large CRM batches are not declared
-  // dead while legitimately streaming.
-  sh.timeout = eng.after(inj.request_timeout(sh.req_msg + sh.reply_msg),
-                         [ref = OpRef(op), idx] { on_timeout(ref.op, idx); });
-
-  DataServer& srv = op->fs->server(sh.server);
-  net::Network& net = op->fs->network();
-  const net::NodeId srv_node = srv.node();
-  const net::NodeId client_node = op->client_node;
-  const std::uint64_t reply_msg = sh.reply_msg;
-
-  ServerIoRequest req;
-  req.file = op->file;
-  req.is_write = op->is_write;
-  req.context = op->context;
-  req.runs = sh.runs;  // copy: retransmission may need them again
-  req.done = [&net, srv_node, client_node, reply_msg, idx, attempt,
-              ref = OpRef(op)](fault::Status st) mutable {
-    net.send(srv_node, client_node, reply_msg,
-             [ref = std::move(ref), idx, attempt, st] {
-               on_reply(ref.op, idx, attempt, st);
-             });
-  };
-  net.send(client_node, srv_node, sh.req_msg,
-           [&srv, req = std::move(req)]() mutable { srv.handle(std::move(req)); });
-}
-
-}  // namespace
-
-namespace {
-
 /// Wire sizes of one shard's request/reply pair. Request message: header +
 /// run descriptors (+ payload for writes); reply: header (+ payload for
-/// reads). The single summation site shared by the robust and fast paths.
+/// reads). The single summation site shared by the retriable and fast paths.
 struct ShardSizing {
   std::uint64_t req_msg;
   std::uint64_t reply_msg;
@@ -222,28 +70,36 @@ ShardSizing size_shard(const std::vector<ServerRun>& runs, bool is_write) {
                      is_write ? 64 : run_bytes + 64};
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// Replicated request path (replication_factor > 1).
+// Retriable request path: fault injection armed, or replication_factor > 1.
 //
-// Writes fan out one shard set per replica role — star (all roles at once)
-// or chain (role r+1 starts when role r completed, each hop relayed through
-// the previous copy's server). Reads start against the primaries (role 0)
-// and transparently fail over, shard by shard, to the next surviving role
-// when a shard comes back with a crash, media error, or exhausted timeout —
-// a degraded read. Ownership follows the IoOp pattern above: refcounted
-// control block, RAII references in every closure.
+// One shard per (copy, server) pair; under fault injection each arms a
+// per-request timeout and retries with capped exponential backoff. Without
+// a repair manager the call has one copy: one role-0 shard per involved
+// server. With one, writes fan out a shard set per replica role — star (all
+// roles at once) or chain (role r+1 starts when role r completed, each hop
+// relayed through the previous copy's server) — and reads start against the
+// primaries (role 0) and transparently fail over, shard by shard, to the
+// next surviving role when a shard comes back with a crash, media error, or
+// exhausted timeout — a degraded read.
 // ---------------------------------------------------------------------------
 
-namespace {
-
+/// Control block for one retriable client I/O call.
+///
+/// Ownership is reference-counted: every closure that can reach the op — the
+/// per-shard timeout event, the request-delivery/reply chain through the
+/// network — holds one ref via an RAII RepOpRef. A dropped message destroys
+/// its closure unfired, which releases the ref automatically, so silent
+/// network loss can never leak the op. `done` fires when every shard has
+/// finished (reply, definitive error, exhausted retries, or failover); the
+/// block itself is freed when the last ref goes away (e.g. a stale
+/// retransmitted reply still in flight after completion).
 struct RepOp {
   FileSystem* fs;
-  replica::RepairManager* mgr;
+  replica::RepairManager* mgr;  ///< null: the one-copy (rf=1) case
   net::NodeId client_node;
   FileId file;
-  std::uint64_t file_size;
+  std::uint64_t file_size;  ///< replica address math (mgr only)
   bool is_write;
   std::uint64_t context;
   std::uint64_t total_bytes;
@@ -261,15 +117,16 @@ struct RepOp {
   std::vector<std::uint32_t> stage_pending;
 
   struct Shard {
-    std::uint32_t server;
-    std::uint32_t role;
-    std::vector<ServerRun> runs;
+    std::uint32_t server = 0;
+    std::uint32_t role = 0;
+    std::vector<ServerRun> runs;  ///< kept across attempts for retransmission
     /// File-space coverage, chunk-coalesced: failover re-decomposes these
     /// under the next role, and write failures invalidate their chunks.
+    /// Empty in the one-copy case, which needs neither.
     std::vector<Segment> ranges;
     std::uint64_t req_msg = 0;
     std::uint64_t reply_msg = 0;
-    std::uint32_t attempt = 0;
+    std::uint32_t attempt = 0;  ///< attempts sent so far
     bool completed = false;
     sim::EventId timeout{};
     sim::Time first_sent = -1;  ///< failover-latency epoch
@@ -281,6 +138,8 @@ struct RepOp {
   }
 };
 
+/// Move-only RAII reference to a RepOp; safe to capture in closures that may
+/// be destroyed without running (dropped messages, cancelled timeouts).
 struct RepOpRef {
   RepOp* op;
   explicit RepOpRef(RepOp* o) : op(o) { o->refs.fetch_add(1, std::memory_order_relaxed); }
@@ -293,6 +152,33 @@ struct RepOpRef {
   }
 };
 
+/// Copies the call addresses: the replication factor, or 1 without a manager.
+std::uint32_t copies(const RepOp* op) {
+  return op->mgr ? op->mgr->config().replication_factor : 1;
+}
+
+/// Allocate the control block of a call over `shards` and count it started.
+RepOp* open_rep_op(FileSystem& fs, replica::RepairManager* mgr, net::NodeId node,
+                   FileId file, bool is_write, std::uint64_t context,
+                   std::uint64_t total_bytes, std::vector<RepOp::Shard> shards,
+                   IoDoneFn done) {
+  if (fault::FaultInjector* inj = fs.fault_injector())
+    ++inj->counters().client_ops_started;
+  auto* op = new RepOp{};
+  op->fs = &fs;
+  op->mgr = mgr;
+  op->client_node = node;
+  op->file = file;
+  op->is_write = is_write;
+  op->context = context;
+  op->total_bytes = total_bytes;
+  op->pending = static_cast<std::uint32_t>(shards.size());
+  op->done = std::move(done);
+  op->shards = std::move(shards);
+  if (is_write) op->role_status.assign(copies(op), fault::Status::kOk);
+  return op;
+}
+
 /// Decompose `segments` under copy `role` into per-server shards: runs in
 /// the role's replica-local address space (contiguous chunks on one server
 /// coalesce — consecutive chunks are adjacent inside a replica region) plus
@@ -300,9 +186,7 @@ struct RepOpRef {
 /// sorted by server id.
 void build_role_shards(const replica::ReplicaMap& map, std::uint64_t file_size,
                        std::span<const Segment> segments, std::uint32_t role,
-                       bool is_write, std::uint64_t context_unused,
-                       std::vector<RepOp::Shard>& out) {
-  (void)context_unused;
+                       bool is_write, std::vector<RepOp::Shard>& out) {
   const std::uint64_t unit = map.layout().unit_bytes;
   auto shard_for = [&out, role](std::uint32_t server) -> RepOp::Shard& {
     for (auto& sh : out)
@@ -392,7 +276,7 @@ void failover_shard(RepOp* op, std::size_t idx) {
   }
   std::vector<RepOp::Shard> fresh;
   build_role_shards(op->mgr->map(), op->file_size, op->shards[idx].ranges,
-                    next_role, /*is_write=*/false, op->context, fresh);
+                    next_role, /*is_write=*/false, fresh);
   const std::size_t base = op->shards.size();
   op->pending += static_cast<std::uint32_t>(fresh.size());
   for (auto& sh : fresh) op->shards.push_back(std::move(sh));
@@ -407,7 +291,7 @@ void terminal_rep_shard(RepOp* op, std::size_t idx, fault::Status st) {
   sh.completed = true;
   if (op->is_write) {
     op->role_status[sh.role] = fault::combine(op->role_status[sh.role], st);
-    if (!fault::ok(st)) {
+    if (!fault::ok(st) && op->mgr) {
       // This role's copies of the shard's chunks never landed: tell the
       // repair manager so re-replication can restore them.
       ++op->mgr->counters().copy_write_failures;
@@ -416,13 +300,12 @@ void terminal_rep_shard(RepOp* op, std::size_t idx, fault::Status st) {
     }
     if (!op->stage_pending.empty()) {
       const std::uint32_t role = sh.role;
-      if (--op->stage_pending[role] == 0 &&
-          role + 1 < op->mgr->config().replication_factor)
+      if (--op->stage_pending[role] == 0 && role + 1 < copies(op))
         start_rep_stage(op, role + 1);
     }
   } else {
     // Only reads that ran out of replicas reach here with a failure.
-    if (!fault::ok(st)) ++op->mgr->counters().out_of_replica_reads;
+    if (!fault::ok(st) && op->mgr) ++op->mgr->counters().out_of_replica_reads;
     op->read_status = fault::combine(op->read_status, st);
   }
   --op->pending;
@@ -434,6 +317,8 @@ void on_rep_reply(RepOp* op, std::size_t idx, std::uint32_t attempt,
   RepOp::Shard& sh = op->shards[idx];
   fault::FaultInjector* inj = op->fs->fault_injector();
   if (sh.completed || sh.attempt != attempt) {
+    // A retransmission raced the original: this reply answers a question the
+    // client is no longer asking.
     if (inj) ++inj->counters().client_stale_replies;
     return;
   }
@@ -442,10 +327,10 @@ void on_rep_reply(RepOp* op, std::size_t idx, std::uint32_t attempt,
     sh.timeout = {};
   }
   if (inj && sh.attempt > 1) ++inj->counters().client_recoveries;
-  if (!op->is_write && !fault::ok(st) &&
-      sh.role + 1 < op->mgr->config().replication_factor) {
-    // Definitive failure (media error on the primary's region): the copy is
-    // beyond retransmission, but a surviving replica can serve the read.
+  // Definitive server answers (including media errors) are never resent: the
+  // server already retried at the drive level. A read can still fail over
+  // to a surviving replica.
+  if (!op->is_write && !fault::ok(st) && sh.role + 1 < copies(op)) {
     failover_shard(op, idx);
     return;
   }
@@ -458,7 +343,7 @@ void on_rep_timeout(RepOp* op, std::size_t idx) {
   if (sh.completed) return;
   fault::FaultInjector& inj = *op->fs->fault_injector();
   ++inj.counters().client_timeouts;
-  const std::uint32_t rf = op->mgr->config().replication_factor;
+  const std::uint32_t rf = copies(op);
   if (!op->is_write && sh.role + 1 < rf &&
       sh.attempt > op->mgr->config().read_failover_after_retries) {
     // Reads give up on a silent copy quickly: surviving replicas make long
@@ -471,6 +356,8 @@ void on_rep_timeout(RepOp* op, std::size_t idx) {
     fault::Status st = fault::Status::kTimeout;
     if (inj.server_down(sh.server)) {
       if (inj.permanently_down(sh.server, op->fs->engine().now())) {
+        // Fail-stop server: "gone", not "slow" — the caller (and the repair
+        // manager) must not keep hoping for a restart.
         ++inj.counters().client_permanent_failures;
         st = fault::Status::kPermanentFailure;
       } else {
@@ -520,7 +407,7 @@ void start_rep_attempt(RepOp* op, std::size_t idx) {
              });
   };
 
-  const bool chained = op->is_write && sh.role > 0 &&
+  const bool chained = op->is_write && sh.role > 0 && op->mgr &&
                        op->mgr->config().fanout == replica::WriteFanout::kChain;
   if (chained) {
     // Chain hop: route through the previous role's server for the shard's
@@ -567,9 +454,9 @@ void replicated_io(FileSystem& fs, net::NodeId node, replica::RepairManager& mgr
   std::vector<RepOp::Shard> shards;
   if (is_write) {
     for (std::uint32_t r = 0; r < rf; ++r)
-      build_role_shards(mgr.map(), file_size, segments, r, true, context, shards);
+      build_role_shards(mgr.map(), file_size, segments, r, true, shards);
   } else {
-    build_role_shards(mgr.map(), file_size, segments, 0, false, context, shards);
+    build_role_shards(mgr.map(), file_size, segments, 0, false, shards);
   }
   if (shards.empty()) {
     fs.engine().after(0, [done = std::move(done)]() mutable {
@@ -578,23 +465,10 @@ void replicated_io(FileSystem& fs, net::NodeId node, replica::RepairManager& mgr
     return;
   }
 
-  if (fault::FaultInjector* inj = fs.fault_injector())
-    ++inj->counters().client_ops_started;
-  auto* op = new RepOp{};
-  op->fs = &fs;
-  op->mgr = &mgr;
-  op->client_node = node;
-  op->file = file;
+  RepOp* op = open_rep_op(fs, &mgr, node, file, is_write, context, total_bytes,
+                          std::move(shards), std::move(done));
   op->file_size = file_size;
-  op->is_write = is_write;
-  op->context = context;
-  op->total_bytes = total_bytes;
-  op->pending = static_cast<std::uint32_t>(shards.size());
-  op->done = std::move(done);
-  op->shards = std::move(shards);
-
   if (is_write) {
-    op->role_status.assign(rf, fault::Status::kOk);
     replica::Counters& rc = mgr.counters();
     ++rc.writes_replicated;
     for (const auto& sh : op->shards)
@@ -641,27 +515,22 @@ void Client::io(FileId file, std::span<const Segment> segments, bool is_write,
     return;
   }
 
-  if (fault::FaultInjector* inj = fs_.fault_injector()) {
-    // Robust path: one retriable shard per involved server, per-request
-    // timeouts, capped exponential backoff.
-    ++inj->counters().client_ops_started;
-    auto* op = new IoOp{&fs_,       node_,   file, is_write,
-                        context,    total_bytes, fault::Status::kOk,
-                        involved,   0,       std::move(done),
-                        {}};
-    op->shards.reserve(involved);
-    for (std::uint32_t s : scratch_.touched) {
+  if (fs_.fault_injector() != nullptr) {
+    // Retriable path, one-copy case: a role-0 shard per involved server.
+    std::vector<RepOp::Shard> shards(involved);
+    for (std::uint32_t i = 0; i < involved; ++i) {
+      const std::uint32_t s = scratch_.touched[i];
       const ShardSizing wire = size_shard(per_server[s], is_write);
-      IoOp::Shard sh;
-      sh.server = s;
-      sh.runs = std::move(per_server[s]);
-      sh.req_msg = wire.req_msg;
-      sh.reply_msg = wire.reply_msg;
-      op->shards.push_back(std::move(sh));
+      shards[i].server = s;
+      shards[i].runs = std::move(per_server[s]);
+      shards[i].req_msg = wire.req_msg;
+      shards[i].reply_msg = wire.reply_msg;
     }
-    // First attempts start only after every shard exists: start_attempt may
-    // index into op->shards from re-entered engine callbacks.
-    for (std::size_t i = 0; i < op->shards.size(); ++i) start_attempt(op, i);
+    RepOp* op = open_rep_op(fs_, nullptr, node_, file, is_write, context,
+                            total_bytes, std::move(shards), std::move(done));
+    // First attempts start only after every shard exists: start_rep_attempt
+    // may index into op->shards from re-entered engine callbacks.
+    for (std::size_t i = 0; i < op->shards.size(); ++i) start_rep_attempt(op, i);
     return;
   }
 

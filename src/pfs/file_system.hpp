@@ -1,5 +1,7 @@
 // Parallel file system front: file creation/striping metadata plus the
-// client-side request path (list I/O decomposition, per-server messages).
+// client-side request paths (list I/O decomposition, per-server messages):
+// a fault-free fan-in fast path, and one retriable path (timeouts, retries,
+// replica fan-out and failover) for every request that can time out.
 #pragma once
 
 #include <cstdint>
@@ -46,16 +48,16 @@ class FileSystem {
   net::Network& network() { return net_; }
   sim::Engine& engine() { return eng_; }
 
-  /// Arm fault injection: clients switch to the timeout/retry request path.
+  /// Arm fault injection: clients switch to the retriable request path.
   /// Null (the default) keeps the fan-in fast path.
   void set_fault_injector(fault::FaultInjector* inj) { injector_ = inj; }
   fault::FaultInjector* fault_injector() { return injector_; }
 
   /// Arm n-way replication: create() allocates per-role replica regions and
-  /// clients switch to the replicated request path (write fan-out to every
-  /// copy, degraded reads with transparent failover). Null, or a manager
-  /// whose config has replication_factor == 1, keeps every pre-replication
-  /// path byte-for-byte.
+  /// clients run the retriable request path with every copy (write fan-out
+  /// to every copy, degraded reads with transparent failover). Null, or a
+  /// manager whose config has replication_factor == 1, keeps the one-copy
+  /// request paths byte-for-byte.
   void set_replicas(replica::RepairManager* r) { replicas_ = r; }
   replica::RepairManager* replicas() { return replicas_; }
 
@@ -86,9 +88,10 @@ class Client {
   /// List I/O: read or write `segments` of `file`. Segments are decomposed
   /// into per-server runs (order-preserving, contiguity-coalescing) and one
   /// request message goes to each involved server. `done(bytes, status)`
-  /// fires when every server has replied — or, under fault injection, when
-  /// every server has replied, failed definitively, or exhausted the retry
-  /// budget (per-request timeout, capped exponential backoff).
+  /// fires when every server has replied — or, under fault injection or
+  /// replication, when every shard has replied, failed definitively, failed
+  /// over to another copy, or exhausted the retry budget (per-request
+  /// timeout, capped exponential backoff).
   void io(FileId file, std::span<const Segment> segments, bool is_write,
           std::uint64_t context, IoDoneFn done);
 

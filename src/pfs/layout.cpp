@@ -65,10 +65,6 @@ void decompose_segment(const StripeLayout& layout, const Segment& seg,
                        std::vector<std::vector<ServerRun>>& per_server) {
   per_server.resize(layout.num_servers);
   if (seg.length == 0) return;
-  if (layout.reference_decompose) {
-    decompose_segment_reference(layout, seg, per_server);
-    return;
-  }
   closed_form(layout, seg, per_server, nullptr);
   DPAR_IF_CHECKING(spot_check_closed_form(layout, seg));
 }
@@ -78,20 +74,6 @@ void decompose_segment(const StripeLayout& layout, const Segment& seg,
   if (scratch.per_server.size() < layout.num_servers)
     scratch.per_server.resize(layout.num_servers);
   if (seg.length == 0) return;
-  if (layout.reference_decompose) {
-    // The frozen loop does not track first touches; derive them from the
-    // same closed-form stripe window so both paths fill `touched` alike.
-    const std::uint64_t first = seg.offset / layout.unit_bytes;
-    const std::uint64_t last = (seg.end() - 1) / layout.unit_bytes;
-    const std::uint64_t involved =
-        std::min(last - first + 1, std::uint64_t{layout.num_servers});
-    for (std::uint64_t i = 0; i < involved; ++i) {
-      const auto srv = static_cast<std::uint32_t>((first + i) % layout.num_servers);
-      if (scratch.per_server[srv].empty()) scratch.touched.push_back(srv);
-    }
-    decompose_segment_reference(layout, seg, scratch.per_server);
-    return;
-  }
   closed_form(layout, seg, scratch.per_server, &scratch.touched);
   DPAR_IF_CHECKING(spot_check_closed_form(layout, seg));
 }

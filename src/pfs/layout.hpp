@@ -21,11 +21,6 @@ struct Segment {
 struct StripeLayout {
   std::uint64_t unit_bytes = 64 * 1024;
   std::uint32_t num_servers = 1;
-  /// Route decompose_segment through the frozen per-chunk loop
-  /// (layout_reference.cpp) instead of the closed form. The two produce
-  /// identical runs; benches flip this to measure the closed form against
-  /// the pre-change code path end to end.
-  bool reference_decompose = false;
 
   std::uint64_t stripe_of(std::uint64_t offset) const { return offset / unit_bytes; }
   std::uint32_t server_of(std::uint64_t offset) const {

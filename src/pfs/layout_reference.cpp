@@ -2,8 +2,9 @@
 // differential oracle (the same pattern as the retained multimap schedulers
 // in sched_reference.cpp). It walks one loop iteration per stripe chunk —
 // O(bytes / unit_bytes) per segment — which the closed form in layout.cpp
-// replaced; tests compare the two over randomized layouts, and benches flip
-// StripeLayout::reference_decompose to measure the pre-change code path.
+// replaced; tests compare the two over randomized layouts, benches call it
+// directly to measure the pre-change code path, and DPAR_CHECK_INVARIANTS
+// builds spot-check the closed form against it.
 #include "pfs/layout.hpp"
 
 namespace dpar::pfs {

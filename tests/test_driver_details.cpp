@@ -176,22 +176,6 @@ TEST(VanillaDetails, PiecewiseIssuesOneRequestPerSegment) {
   EXPECT_GE(server_requests, (1u << 20) / 4096);
 }
 
-TEST(VanillaDetails, ListIoBatchingCanBeRestored) {
-  harness::Testbed tb(small_config());
-  tb.vanilla().set_piecewise_strided(false);
-  wl::DemoConfig dc;
-  dc.file = tb.create_file("f", 1 << 20);
-  dc.file_size = 1 << 20;
-  dc.segment_size = 4096;
-  auto& job = tb.add_job("v", 1, tb.vanilla(),
-                         [dc](std::uint32_t) { return wl::make_demo(dc); },
-                         dualpar::Policy::kForcedNormal);
-  tb.run();
-  EXPECT_TRUE(job.finished());
-  // With list I/O the client merges adjacent runs; far fewer server messages.
-  EXPECT_LT(tb.network().messages_sent(), 2000u);
-}
-
 TEST(NetworkDetails, JitterIsDeterministicPerSeed) {
   auto run = [](std::uint64_t seed) {
     harness::TestbedConfig cfg;

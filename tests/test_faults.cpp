@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "harness/experiment_pool.hpp"
 #include "harness/testbed.hpp"
 #include "metrics/fault_report.hpp"
+#include "pfs/file_system.hpp"
 #include "wl/workloads.hpp"
 
 namespace dpar {
@@ -270,6 +272,62 @@ TEST(FaultInjection, CrashLosesQueuedWorkAndRestartRecovers) {
   EXPECT_EQ(r.counters.emc_degraded_entries, 1u);
   EXPECT_EQ(r.counters.emc_degraded_exits, 1u);
   EXPECT_FALSE(r.emc_degraded_at_end);
+}
+
+/// One bare pfs::Client call (no MPI layer, no replication) spanning every
+/// data server while server 1 is down from t=0 until `restart_at`.
+struct CallOut {
+  bool done = false;
+  fault::Status status = fault::Status::kOk;
+  fault::Counters counters;
+};
+
+CallOut call_through_crash(sim::Time restart_at, bool is_write) {
+  harness::TestbedConfig cfg = small_cfg();
+  cfg.fault.server.crashes.push_back({/*server=*/1, 0, restart_at});
+  harness::Testbed tb(cfg);
+  const std::uint64_t size = cfg.stripe_unit * cfg.data_servers;
+  const pfs::FileId file = tb.create_file("f", size);
+  pfs::Client client(tb.fs(), tb.compute_node(0).id());
+  const pfs::Segment whole{0, size};
+  CallOut out;
+  // Issued after the crash event at t=0 has fired.
+  tb.engine().at(sim::msec(1), [&] {
+    client.io(file, std::span(&whole, 1), is_write, /*context=*/0,
+              [&out](std::uint64_t, fault::Status st) {
+                out.done = true;
+                out.status = st;
+              });
+  });
+  tb.run();
+  out.counters = tb.fault_injector()->counters();
+  return out;
+}
+
+TEST(FaultInjection, Rf1CallToFailStopServerEndsPermanent) {
+  for (const bool is_write : {false, true}) {
+    const CallOut r = call_through_crash(fault::kNeverRestarts, is_write);
+    ASSERT_TRUE(r.done) << "write=" << is_write;
+    EXPECT_EQ(r.status, fault::Status::kPermanentFailure) << "write=" << is_write;
+    EXPECT_EQ(r.counters.client_permanent_failures, 1u) << "write=" << is_write;
+    EXPECT_EQ(r.counters.client_failures, 1u) << "write=" << is_write;
+    EXPECT_EQ(r.counters.client_ops_started, 1u) << "write=" << is_write;
+    EXPECT_EQ(r.counters.client_ops_started, r.counters.client_ops_finished);
+  }
+}
+
+TEST(FaultInjection, Rf1CallOutlastedByRestartingCrashEndsServerDown) {
+  for (const bool is_write : {false, true}) {
+    // The restart comes long after the retry budget (~4 s of timeouts and
+    // capped backoff at the default policy) has run out.
+    const CallOut r = call_through_crash(sim::secs(60), is_write);
+    ASSERT_TRUE(r.done) << "write=" << is_write;
+    EXPECT_EQ(r.status, fault::Status::kServerDown) << "write=" << is_write;
+    EXPECT_EQ(r.counters.client_permanent_failures, 0u) << "write=" << is_write;
+    EXPECT_EQ(r.counters.client_failures, 1u) << "write=" << is_write;
+    EXPECT_EQ(r.counters.client_ops_started, 1u) << "write=" << is_write;
+    EXPECT_EQ(r.counters.client_ops_started, r.counters.client_ops_finished);
+  }
 }
 
 TEST(FaultInjection, FaultLedgerFormatsEveryCounter) {

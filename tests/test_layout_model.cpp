@@ -16,9 +16,7 @@ namespace {
 
 using PerServer = std::vector<std::vector<ServerRun>>;
 
-PerServer closed_form(const StripeLayout& base, const Segment& seg) {
-  StripeLayout layout = base;
-  layout.reference_decompose = false;
+PerServer closed_form(const StripeLayout& layout, const Segment& seg) {
   PerServer out;
   decompose_segment(layout, seg, out);
   return out;
@@ -103,12 +101,9 @@ TEST(LayoutModel, MultiSegmentAccumulationMatchesReference) {
   // agree on the combined result (the client issues list I/O this way).
   sim::Rng rng(0xacc);
   for (int round = 0; round < 100; ++round) {
-    StripeLayout closed_layout{1 + rng.uniform(64 * 1024),
-                               1 + static_cast<std::uint32_t>(rng.uniform(63))};
-    StripeLayout ref_layout = closed_layout;
-    ref_layout.reference_decompose = true;
-    const std::uint64_t span =
-        closed_layout.unit_bytes * closed_layout.num_servers;
+    const StripeLayout layout{1 + rng.uniform(64 * 1024),
+                              1 + static_cast<std::uint32_t>(rng.uniform(63))};
+    const std::uint64_t span = layout.unit_bytes * layout.num_servers;
     PerServer closed, ref;
     std::uint64_t cursor = rng.uniform(span);
     for (int s = 0; s < 6; ++s) {
@@ -117,8 +112,8 @@ TEST(LayoutModel, MultiSegmentAccumulationMatchesReference) {
       if (rng.chance(0.5)) cursor += 1 + rng.uniform(span);
       const Segment seg{cursor, 1 + rng.uniform(span * 2)};
       cursor = seg.end();
-      decompose_segment(closed_layout, seg, closed);
-      decompose_segment(ref_layout, seg, ref);
+      decompose_segment(layout, seg, closed);
+      decompose_segment_reference(layout, seg, ref);
       ASSERT_EQ(closed, ref) << "round " << round << " segment " << s;
     }
   }
@@ -130,7 +125,6 @@ TEST(LayoutModel, ScratchTouchedListsExactlyTheServersWithRuns) {
   for (int round = 0; round < 200; ++round) {
     StripeLayout layout{1 + rng.uniform(128 * 1024),
                         1 + static_cast<std::uint32_t>(rng.uniform(299))};
-    if (rng.chance(0.3)) layout.reference_decompose = true;
     const std::uint64_t span = layout.unit_bytes * layout.num_servers;
     scratch.reset(layout.num_servers);
     PerServer expect;

@@ -508,7 +508,8 @@ TEST(ReplicationDurability, DegradedReadsFailOverDuringALongOutage) {
 
 TEST(ReplicationDurability, Rf1KeepsThePreReplicationPath) {
   // replication_factor == 1 must not even build the subsystem: no manager,
-  // no replica regions, the legacy request path byte-for-byte.
+  // no replica regions. Client calls take the fault-free fast path, or under
+  // faults the one-copy case of the retriable path, byte-for-byte.
   harness::TestbedConfig cfg;
   cfg.data_servers = 4;
   cfg.compute_nodes = 3;
