@@ -23,8 +23,13 @@
 #include "harness.hpp"
 #include "harness/testbed.hpp"
 #include "net/network.hpp"
+#include "oracles/heap_queue.hpp"
+#include "oracles/key_driver.hpp"
+#include "oracles/layout_reference.hpp"
+#include "oracles/sched_reference.hpp"
 #include "pfs/layout.hpp"
 #include "sim/engine.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "wl/workloads.hpp"
 
@@ -160,69 +165,88 @@ void BM_LegacyEngineScheduleCancelFire(benchmark::State& state) {
 BENCHMARK(BM_LegacyEngineScheduleCancelFire);
 
 // ---- Tiered event queue vs the frozen heap oracle ------------------------
+// Both queues run bare under one KeyDriver (tests/oracles/key_driver.hpp):
+// the same key stream, no engine and no callbacks, so the ratio is the
+// queues' own cost.
+//
 // The cancel-heavy timeout pattern the ladder queue was built for: a
 // standing population of far-future guard timers (I/O timeouts, plug and
 // anticipation timers) that is continuously re-armed, with only a trickle
 // ever firing. The heap pays a deep sift per push into the big queue; the
 // ladder files each key into a bucket in O(1) and never re-sorts on cancel.
 // One item = one schedule or cancel. perf_smoke gates ladder >= 1.5x heap.
-void BM_EventQueueSweep(benchmark::State& state, sim::QueueKind kind) {
+template <class Q>
+void BM_EventQueueSweep(benchmark::State& state) {
   constexpr int kPending = 1 << 15;
   constexpr int kRounds = 64;
   constexpr int kChurn = 512;
   for (auto _ : state) {
-    sim::Engine eng(kind);
+    sim::KeyDriver<Q> keys;
+    sim::Time now = 0;
     sim::Rng rng(41);
-    const auto timeout = [&rng]() -> sim::Time {
-      return sim::msec(1) + static_cast<sim::Time>(rng.uniform(sim::msec(50)));
+    const auto timeout = [&rng, &now]() -> sim::Time {
+      return now + sim::msec(1) +
+             static_cast<sim::Time>(rng.uniform(sim::msec(50)));
     };
-    std::vector<sim::EventId> ids;
+    std::vector<sim::EventKey> ids;
     ids.reserve(kPending);
-    for (int i = 0; i < kPending; ++i)
-      ids.push_back(eng.after(timeout(), [] {}));
+    for (int i = 0; i < kPending; ++i) ids.push_back(keys.push(timeout()));
+    std::uint64_t fired = 0;
     for (int round = 0; round < kRounds; ++round) {
       for (int i = 0; i < kChurn; ++i) {
         const std::size_t at = rng.uniform(ids.size());
-        eng.cancel(ids[at]);  // the guarded I/O completed; the timer dies
-        ids[at] = eng.after(timeout(), [] {});
+        keys.cancel(ids[at]);  // the guarded I/O completed; the timer dies
+        ids[at] = keys.push(timeout());
       }
       // A few expirations slip through between churn bursts.
-      eng.run_until(eng.now() + sim::usec(800));
+      const sim::Time cut = now + sim::usec(800);
+      sim::EventKey k;
+      while (keys.next_time() <= cut && keys.pop(k)) ++fired;
+      now = cut;
     }
-    for (const sim::EventId id : ids) eng.cancel(id);
-    benchmark::DoNotOptimize(eng.events_fired());
+    for (const sim::EventKey& k : ids) keys.cancel(k);
+    benchmark::DoNotOptimize(fired);
   }
   state.SetItemsProcessed(state.iterations() *
                           (kPending + 2 * kRounds * kChurn + kPending));
 }
-BENCHMARK_CAPTURE(BM_EventQueueSweep, cancel_heavy_ladder,
-                  sim::QueueKind::kLadder);
-BENCHMARK_CAPTURE(BM_EventQueueSweep, cancel_heavy_heap, sim::QueueKind::kHeap);
+BENCHMARK_TEMPLATE(BM_EventQueueSweep, sim::LadderQueue)
+    ->Name("BM_EventQueueSweep/cancel_heavy_ladder");
+BENCHMARK_TEMPLATE(BM_EventQueueSweep, sim::HeapQueue)
+    ->Name("BM_EventQueueSweep/cancel_heavy_heap");
 
 // Steady-state timer churn: every fired timer immediately re-arms itself
-// (heartbeats, periodic monitors), so the queue holds a constant population
-// while events pour through pop+push. One item = one fired timer.
-void BM_EventQueueTimerChurn(benchmark::State& state, sim::QueueKind kind) {
+// with its own period (heartbeats, periodic monitors), so the queue holds a
+// constant population while keys pour through pop+push. One item = one
+// fired timer.
+template <class Q>
+void BM_EventQueueTimerChurn(benchmark::State& state) {
   constexpr int kTimers = 4096;
   constexpr std::uint64_t kBudget = 1 << 16;
   for (auto _ : state) {
-    sim::Engine eng(kind);
-    std::uint64_t fired = 0;
-    std::function<void(sim::Time)> arm = [&](sim::Time period) {
-      eng.after(period, [&arm, &fired, period] {
-        if (++fired < kBudget) arm(period);
-      });
+    sim::KeyDriver<Q> keys;
+    std::vector<sim::Time> period;  // by slot
+    const auto arm = [&](sim::Time now, sim::Time p) {
+      const sim::EventKey k = keys.push(now + p);
+      if (period.size() <= k.slot) period.resize(k.slot + 1);
+      period[k.slot] = p;
     };
     for (int i = 0; i < kTimers; ++i)
-      arm(1024 + static_cast<sim::Time>((i * 37) & 4095));
-    eng.run();
+      arm(0, 1024 + static_cast<sim::Time>((i * 37) & 4095));
+    std::uint64_t fired = 0;
+    sim::EventKey k;
+    while (keys.pop(k)) {
+      if (++fired < kBudget) arm(k.t, period[k.slot]);
+    }
     benchmark::DoNotOptimize(fired);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kBudget));
 }
-BENCHMARK_CAPTURE(BM_EventQueueTimerChurn, ladder, sim::QueueKind::kLadder);
-BENCHMARK_CAPTURE(BM_EventQueueTimerChurn, heap, sim::QueueKind::kHeap);
+BENCHMARK_TEMPLATE(BM_EventQueueTimerChurn, sim::LadderQueue)
+    ->Name("BM_EventQueueTimerChurn/ladder");
+BENCHMARK_TEMPLATE(BM_EventQueueTimerChurn, sim::HeapQueue)
+    ->Name("BM_EventQueueTimerChurn/heap");
 
 void BM_EngineSelfChaining(benchmark::State& state) {
   for (auto _ : state) {
@@ -347,10 +371,6 @@ BENCHMARK_CAPTURE(BM_SchedDutyCycle, cfq_flat,
                   +[] { return disk::make_cfq_scheduler(); });
 BENCHMARK_CAPTURE(BM_SchedDutyCycle, cfq_ref,
                   +[] { return disk::make_reference_cfq_scheduler(); });
-BENCHMARK_CAPTURE(BM_SchedDutyCycle, anticipatory_flat,
-                  +[] { return disk::make_anticipatory_scheduler(); });
-BENCHMARK_CAPTURE(BM_SchedDutyCycle, anticipatory_ref,
-                  +[] { return disk::make_reference_anticipatory_scheduler(); });
 
 // The batch hand-off a PFS server uses for a decomposed list-I/O request:
 // enqueue_batch on the flat scheduler merges one sorted run; the reference

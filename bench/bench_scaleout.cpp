@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "harness.hpp"
+#include "oracles/layout_reference.hpp"
 #include "sim/rng.hpp"
 #include "wl/workloads.hpp"
 

@@ -15,8 +15,8 @@
 //
 // Flat layout: per-context state lives in an open-addressed ContextTable
 // (was std::map) and each context's queue is a SortedRunQueue (was
-// std::multimap). sched_reference.cpp keeps the map-based original as the
-// differential oracle.
+// std::multimap). tests/oracles/sched_reference.cpp keeps the map-based
+// original as the differential oracle.
 #include <cstdint>
 #include <utility>
 

@@ -4,8 +4,9 @@
 // application-level ordering are compared in the ablation benches.
 //
 // All three run on the flat structures in sorted_queue.hpp; the original
-// multimap implementations live on in sched_reference.cpp as differential
-// oracles (tests/test_sched_model.cpp) and must make identical decisions.
+// multimap implementations live on in tests/oracles/sched_reference.cpp as
+// differential oracles (tests/test_sched_model.cpp) and must make identical
+// decisions.
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -146,7 +147,6 @@ std::unique_ptr<IoScheduler> make_scheduler(SchedulerKind kind) {
     case SchedulerKind::kDeadline: return make_deadline_scheduler();
     case SchedulerKind::kCscan: return make_cscan_scheduler();
     case SchedulerKind::kCfq: return make_cfq_scheduler();
-    case SchedulerKind::kAnticipatory: return make_anticipatory_scheduler();
   }
   return make_cfq_scheduler();
 }

@@ -73,7 +73,6 @@ void plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_write,
     agg.node = nodes[a].first;
     agg.context = ranks[nodes[a].second].context;
     agg.segs.clear();
-    agg.rmw = false;
   }
   const std::uint64_t nagg = naggs;
   const std::uint64_t ncols = nodes.size();
@@ -165,9 +164,10 @@ void plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_write,
     segs.resize(n);
   }
 
-  // Data sieving decision per aggregator.
+  // Data sieving decision per aggregator. Only reads sieve: a write goes out
+  // as list I/O, as ROMIO's does on PVFS2.
   for (auto& a : plan.aggs) {
-    if (a.segs.size() <= 1) continue;
+    if (is_write || a.segs.size() <= 1) continue;
     const std::uint64_t span = a.segs.back().end() - a.segs.front().offset;
     std::uint64_t use = 0;
     for (const auto& s : a.segs) use += s.length;
@@ -175,13 +175,8 @@ void plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_write,
                        static_cast<double>(use) / static_cast<double>(span) >=
                            params.sieve_min_density;
     if (!dense) continue;
-    if (!is_write || params.write_sieving) {
-      // A write sieves as RMW: the whole span is read first, then written
-      // back patched.
-      a.segs.front().length = span;
-      a.segs.resize(1);
-      a.rmw = is_write;
-    }
+    a.segs.front().length = span;
+    a.segs.resize(1);
   }
 
   for (std::uint64_t a = 0; a < nagg; ++a) {
@@ -278,26 +273,12 @@ void CollectiveDriver::aggregate_io_(std::uint32_t slot) {
   for (std::size_t i = 0; i < r.plan.aggs.size(); ++i) {
     const TwoPhasePlan::Aggregator& a = r.plan.aggs[i];
     if (a.segs.empty()) continue;
-    pfs::Client& client = env_.clients.for_node(a.node);
-    if (a.rmw) {
-      // Write sieving: fetch the span, patch in memory, write it back.
-      auto write_back = [this, slot, &client, &a](std::uint64_t, fault::Status st) {
-        note_io_status(env_, st);
-        client.io(round_pool_.at(slot).file, a.segs, /*is_write=*/true, a.context,
-                  sim::inline_fn([this, slot](std::uint64_t, fault::Status wst) {
-                    note_io_status(env_, wst);
-                    after_aggregate_io_(slot);
-                  }));
-      };
-      client.io(r.file, a.segs, /*is_write=*/false, a.context,
-                sim::inline_fn(write_back));
-    } else {
-      client.io(r.file, a.segs, r.is_write, a.context,
-                sim::inline_fn([this, slot](std::uint64_t, fault::Status st) {
-                  note_io_status(env_, st);
-                  after_aggregate_io_(slot);
-                }));
-    }
+    env_.clients.for_node(a.node).io(
+        r.file, a.segs, r.is_write, a.context,
+        sim::inline_fn([this, slot](std::uint64_t, fault::Status st) {
+          note_io_status(env_, st);
+          after_aggregate_io_(slot);
+        }));
   }
 }
 

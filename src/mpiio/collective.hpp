@@ -38,10 +38,6 @@ struct CollectiveParams {
   /// ROMIO's cb_nodes hint: cap on the number of aggregators (0 = one per
   /// participating compute node, the default).
   std::uint32_t max_aggregators = 0;
-  /// Read-modify-write sieving for noncontiguous collective writes (ROMIO's
-  /// generic path with file locking). Off by default: on PVFS2 ROMIO uses
-  /// native list I/O for writes instead.
-  bool write_sieving = false;
 };
 
 /// One rank's share of a collective round, as the planner sees it.
@@ -57,7 +53,6 @@ struct TwoPhasePlan {
     net::NodeId node;
     std::uint64_t context;           ///< aggregator's process id as I/O context
     std::vector<pfs::Segment> segs;  ///< sorted and coalesced, or one sieved span
-    bool rmw = false;                ///< write sieving: read the span first
   };
   /// Traffic between one rank node and one aggregator.
   struct Message {

@@ -1,7 +1,5 @@
 #include "pfs/layout.hpp"
 
-#include "sim/debug.hpp"
-
 namespace dpar::pfs {
 
 namespace {
@@ -39,26 +37,6 @@ void closed_form(const StripeLayout& layout, const Segment& seg,
   }
 }
 
-#if DPAR_CHECK_INVARIANTS
-/// Debug invariant layer: spot-check the closed form against the frozen
-/// per-chunk reference on bounded segments (the reference walks one iteration
-/// per stripe, so huge segments are skipped to keep Debug runs tractable).
-/// Decomposes into fresh local vectors so the check is independent of
-/// whatever the caller has already accumulated in its scratch.
-void spot_check_closed_form(const StripeLayout& layout, const Segment& seg) {
-  const std::uint64_t stripes =
-      (seg.end() - 1) / layout.unit_bytes - seg.offset / layout.unit_bytes + 1;
-  if (stripes > 4096) return;
-  std::vector<std::vector<ServerRun>> closed(layout.num_servers);
-  std::vector<std::vector<ServerRun>> ref(layout.num_servers);
-  closed_form(layout, seg, closed, nullptr);
-  decompose_segment_reference(layout, seg, ref);
-  DPAR_ASSERT(closed == ref,
-              "striping: closed-form decomposition diverged from the frozen "
-              "per-chunk reference");
-}
-#endif
-
 }  // namespace
 
 void decompose_segment(const StripeLayout& layout, const Segment& seg,
@@ -66,7 +44,6 @@ void decompose_segment(const StripeLayout& layout, const Segment& seg,
   per_server.resize(layout.num_servers);
   if (seg.length == 0) return;
   closed_form(layout, seg, per_server, nullptr);
-  DPAR_IF_CHECKING(spot_check_closed_form(layout, seg));
 }
 
 void decompose_segment(const StripeLayout& layout, const Segment& seg,
@@ -75,7 +52,6 @@ void decompose_segment(const StripeLayout& layout, const Segment& seg,
     scratch.per_server.resize(layout.num_servers);
   if (seg.length == 0) return;
   closed_form(layout, seg, scratch.per_server, &scratch.touched);
-  DPAR_IF_CHECKING(spot_check_closed_form(layout, seg));
 }
 
 void DecomposeScratch::reset(std::uint32_t num_servers) {

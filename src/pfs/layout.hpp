@@ -80,10 +80,4 @@ void decompose_segment(const StripeLayout& layout, const Segment& seg,
 void decompose_segment(const StripeLayout& layout, const Segment& seg,
                        DecomposeScratch& scratch);
 
-/// The pre-closed-form decomposition, one loop iteration per stripe chunk,
-/// frozen verbatim as the differential oracle (same pattern as the scheduler
-/// references in sched_reference.cpp). Produces byte-identical runs.
-void decompose_segment_reference(const StripeLayout& layout, const Segment& seg,
-                                 std::vector<std::vector<ServerRun>>& per_server);
-
 }  // namespace dpar::pfs

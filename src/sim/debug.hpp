@@ -1,8 +1,8 @@
 // Debug invariant layer.
 //
 // DPAR_ASSERT guards the structural invariants the fast paths rely on
-// (event-heap ordering, RangeSet sortedness + incremental byte totals,
-// EMC id->slot index agreement, closed-form vs reference striping). The
+// (event-queue ordering, RangeSet sortedness + incremental byte totals,
+// EMC id->slot index agreement, replica tracker counts). The
 // checks are compiled out entirely unless DPAR_CHECK_INVARIANTS is defined
 // (CMake option of the same name; ON by default for Debug builds, OFF for
 // Release), so sanitizer CI legs verify the invariants continuously while

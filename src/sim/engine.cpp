@@ -9,7 +9,7 @@
 
 namespace dpar::sim {
 
-Engine::Engine(QueueKind kind) : queue_(std::make_unique<EventQueue>(kind, &gens_)) {}
+Engine::Engine() : queue_(std::make_unique<LadderQueue>(&gens_)) {}
 
 std::uint32_t Engine::alloc_slot_() {
   if (free_head_ != 0) {

@@ -17,12 +17,13 @@
 //  * Events live in a free-listed slab; `EventId` is a generation-tagged slot
 //    index, so `cancel()` is an O(1) validity check that frees the slot (and
 //    destroys the callback) immediately — no hash sets, no deferred cleanup.
-//  * The (time, seq, slot, gen) keys live in a tiered EventQueue
+//  * The (time, seq, slot, gen) keys live in one LadderQueue
 //    (event_queue.hpp): a ladder/timer-wheel structure whose buckets are
 //    sorted only at drain and whose cancels never trigger any re-sorting.
 //    Cancelled events leave a stale key behind that is skipped on pop and
 //    reclaimed by an amortized linear purge, so cancel-heavy workloads stay
-//    bounded in memory.
+//    bounded in memory. It is the engine's only queue; the heap it replaced
+//    survives solely as a test oracle (tests/oracles/heap_queue.hpp).
 #pragma once
 
 #include <cstddef>
@@ -49,10 +50,7 @@ class Engine {
  public:
   using Callback = UniqueFunction;
 
-  /// The simulator always runs on the ladder queue. `kind` exists so the
-  /// queue differential tests and the queue micro-benchmark can run the
-  /// same engine over the frozen heap oracle (see event_queue.hpp).
-  explicit Engine(QueueKind kind = QueueKind::kLadder);
+  Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -110,8 +108,8 @@ class Engine {
   std::size_t queue_depth() const { return queue_->size(); }
 
   /// Full structural validation (debug invariant layer): queue ordering
-  /// (ladder bucket monotonicity / heap property), generation-tag validity
-  /// of every live key, live/stale bookkeeping, and freelist consistency.
+  /// (ladder bucket monotonicity), generation-tag validity of every live key,
+  /// live/stale bookkeeping, and freelist consistency.
   /// Aborts via DPAR_ASSERT on violation. Called automatically after every
   /// purge when DPAR_CHECK_INVARIANTS is compiled in, and directly by tests.
   void check_invariants() const;
@@ -134,7 +132,7 @@ class Engine {
   /// Tiered (time, seq) key queue; see event_queue.hpp. Out of line because
   /// its timer wheel is ~6 KB: held inline, it made a stack-built Testbed
   /// ~7% slower to set up.
-  std::unique_ptr<EventQueue> queue_;
+  std::unique_ptr<LadderQueue> queue_;
   std::uint32_t free_head_ = 0;  ///< freelist head (index + 1; 0 = empty).
   std::size_t live_ = 0;
   Time now_ = 0;

@@ -1,5 +1,4 @@
-// Ladder/timer-wheel event queue (see event_queue.hpp for the tier map) and
-// the kind dispatch shared by both arms.
+// Ladder/timer-wheel event queue (see event_queue.hpp for the tier map).
 //
 // Geometry and movement rules:
 //
@@ -38,79 +37,56 @@
 //    bit clears either way, so progress holds.
 #include "sim/event_queue.hpp"
 
-#include <utility>
-
 #include "sim/debug.hpp"
 
 namespace dpar::sim {
 
-EventQueue::EventQueue(QueueKind kind, const std::vector<std::uint32_t>* gens)
-    : kind_(kind), gens_(gens) {}
-
-// ---- kind dispatch ---------------------------------------------------------
-
-void EventQueue::push(const EventKey& k) {
-  if (kind_ == QueueKind::kHeap)
-    heap_push_(k);
-  else
-    ladder_push_(k);
-}
-
-Time EventQueue::next_time() {
-  return kind_ == QueueKind::kHeap ? heap_next_time_() : ladder_next_time_();
-}
-
-bool EventQueue::pop_min_live(EventKey& out) {
-  if (kind_ == QueueKind::kHeap) {
-    if (heap_next_time_() == kNoEventTime) return false;
-    out = heap_.front();
-    heap_pop_min_();
-    return true;
+void LadderQueue::push(const EventKey& k) {
+  if (size_ == 0) {
+    // Empty queue: re-anchor the cursor on the key so it files as front.
+    floor_ = k.t;
+  } else if (slot_of_(k.t, 0) < slot_of_(floor_, 0)) {
+    // The key precedes the cursor's bucket (scheduled behind a floor a
+    // next_time() peek advanced). Rewind: the front bucket is no longer current, so
+    // re-file its keys relative to the new floor.
+    spill_.swap(front_);
+    floor_ = k.t;
+    for (const EventKey& s : spill_) {
+      if (stale_key(s)) {
+        --stale_;
+        --size_;
+      } else {
+        place_(s);
+      }
+    }
+    finish_drain_(front_);
   }
-  if (ladder_next_time_() == kNoEventTime) return false;
+  place_(k);
+  ++size_;
+}
+
+bool LadderQueue::pop_min_live(EventKey& out) {
+  if (next_time() == kNoEventTime) return false;
   out = front_.front();
   front_pop_();
-  --lq_size_;
+  --size_;
   return true;
 }
 
-void EventQueue::note_cancel() {
+void LadderQueue::note_cancel() {
   ++stale_;
-  // Amortized cleanup: never let cancelled keys dominate the queue. Same
-  // threshold either arm; the heap compacts (filter + Floyd rebuild), the
-  // ladder purges (pure linear filters — nothing is ever re-sorted).
-  if (stale_ >= 64 && stale_ * 2 >= size()) {
-    if (kind_ == QueueKind::kHeap)
-      heap_compact_();
-    else
-      ladder_purge_stale_();
-  }
+  // Amortized cleanup: never let cancelled keys dominate the queue. The
+  // purge is pure linear filters — nothing is ever re-sorted.
+  if (stale_ >= 64 && stale_ * 2 >= size_) purge_stale_();
 }
 
-void EventQueue::check_invariants() const {
-  if (kind_ == QueueKind::kHeap)
-    heap_check_invariants_();
-  else
-    ladder_check_invariants_();
-}
-
-void EventQueue::debug_corrupt_order_for_test() {
-  if (kind_ == QueueKind::kHeap) {
-    if (heap_.size() >= 2) std::swap(heap_.front(), heap_.back());
-    return;
-  }
-  if (front_.size() >= 2) std::swap(front_.front(), front_.back());
-}
-
-void EventQueue::debug_strand_front_for_test() {
+void LadderQueue::debug_strand_front_for_test() {
   // Jump the floor a whole level-0 wheel span ahead: any live front key is
   // now stranded behind the cursor and check_invariants() must abort.
   floor_ += Time{kSlotsPerLevel} << kBucketShift;
 }
 
-// ---- ladder arm ------------------------------------------------------------
-
-void EventQueue::front_push_(const EventKey& k) {
+void LadderQueue::front_push_(const EventKey& k) {
   front_.push_back(k);
   std::size_t i = front_.size() - 1;
   while (i > 0) {
@@ -122,13 +98,13 @@ void EventQueue::front_push_(const EventKey& k) {
   front_[i] = k;
 }
 
-void EventQueue::front_pop_() {
+void LadderQueue::front_pop_() {
   front_.front() = front_.back();
   front_.pop_back();
   if (!front_.empty()) front_sift_down_(0);
 }
 
-void EventQueue::front_sift_down_(std::size_t i) {
+void LadderQueue::front_sift_down_(std::size_t i) {
   const std::size_t n = front_.size();
   const EventKey k = front_[i];
   for (;;) {
@@ -145,13 +121,13 @@ void EventQueue::front_sift_down_(std::size_t i) {
   front_[i] = k;
 }
 
-void EventQueue::front_rebuild_() {
+void LadderQueue::front_rebuild_() {
   if (front_.size() > 1)
     for (std::size_t i = (front_.size() - 2) / 4 + 1; i-- > 0;)
       front_sift_down_(i);
 }
 
-void EventQueue::ladder_place_(const EventKey& k) {
+void LadderQueue::place_(const EventKey& k) {
   const std::uint64_t f0 = slot_of_(floor_, 0);
   const std::uint64_t k0 = slot_of_(k.t, 0);
   if (k0 == f0) {
@@ -176,31 +152,7 @@ void EventQueue::ladder_place_(const EventKey& k) {
   if (k.t < tail_min_) tail_min_ = k.t;
 }
 
-void EventQueue::ladder_push_(const EventKey& k) {
-  if (lq_size_ == 0) {
-    // Empty queue: re-anchor the cursor on the key so it files as front.
-    floor_ = k.t;
-  } else if (slot_of_(k.t, 0) < slot_of_(floor_, 0)) {
-    // The key precedes the cursor's bucket (scheduled behind a floor a
-    // next_time() peek advanced). Rewind: the front bucket is no longer current, so
-    // re-file its keys relative to the new floor.
-    spill_.swap(front_);
-    floor_ = k.t;
-    for (const EventKey& s : spill_) {
-      if (stale_key(s)) {
-        --stale_;
-        --lq_size_;
-      } else {
-        ladder_place_(s);
-      }
-    }
-    finish_drain_(front_);
-  }
-  ladder_place_(k);
-  ++lq_size_;
-}
-
-void EventQueue::sweep_front_bucket_() {
+void LadderQueue::sweep_front_bucket_() {
   // The floor's level-0 bucket IS the front: whenever a refill moves (or
   // keeps) the cursor, every live key sharing that bucket must sit in the
   // front heap before the refill returns. Keys of that bucket can hide in
@@ -222,7 +174,7 @@ void EventQueue::sweep_front_bucket_() {
     for (const EventKey& k : b) {
       if (stale_key(k)) {
         --stale_;
-        --lq_size_;
+        --size_;
       } else if (slot_of_(k.t, 0) == f0) {
         front_push_(k);
       } else {
@@ -237,15 +189,15 @@ void EventQueue::sweep_front_bucket_() {
   }
 }
 
-Time EventQueue::ladder_next_time_() {
+Time LadderQueue::next_time() {
   for (;;) {
     while (!front_.empty() && stale_key(front_.front())) {
       front_pop_();
       --stale_;
-      --lq_size_;
+      --size_;
     }
     if (!front_.empty()) return front_.front().t;
-    if (lq_size_ == 0) return kNoEventTime;
+    if (size_ == 0) return kNoEventTime;
 
     // Earliest candidate across the wheel levels (first occupied slot in
     // cyclic cursor order; one rotate + count-trailing-zeros per level) and
@@ -288,15 +240,15 @@ Time EventQueue::ladder_next_time_() {
       for (const EventKey& s : spill_) {
         if (stale_key(s)) {
           --stale_;
-          --lq_size_;
+          --size_;
         } else {
-          ladder_place_(s);
+          place_(s);
         }
       }
       finish_drain_(tail_);
       continue;
     }
-    if (best_lvl < 0) return kNoEventTime;  // unreachable: lq_size_ > 0
+    if (best_lvl < 0) return kNoEventTime;  // unreachable: size_ > 0
 
     const unsigned idx = best_slot & (kSlotsPerLevel - 1);
     std::vector<EventKey>& bucket = levels_[best_lvl].buckets[idx];
@@ -311,18 +263,18 @@ Time EventQueue::ladder_next_time_() {
     for (const EventKey& s : spill_) {
       if (stale_key(s)) {
         --stale_;
-        --lq_size_;
+        --size_;
       } else if (best_lvl == 0 && slot_of_(s.t, 0) == best_slot) {
         front_push_(s);  // the winning bucket becomes the sorted front
       } else {
-        ladder_place_(s);  // cascade down (or re-file a wrapped key)
+        place_(s);  // cascade down (or re-file a wrapped key)
       }
     }
     finish_drain_(bucket);
   }
 }
 
-void EventQueue::finish_drain_(std::vector<EventKey>& tier) {
+void LadderQueue::finish_drain_(std::vector<EventKey>& tier) {
   // The swap lent the spill buffer's storage to the tier (for keys re-filed
   // into it, which is rare) while the tier's keys were walked from spill_.
   // Swap back when the tier stayed empty, so every tier keeps the storage
@@ -336,7 +288,7 @@ void EventQueue::finish_drain_(std::vector<EventKey>& tier) {
   clear_bounded(spill_);
 }
 
-void EventQueue::ladder_purge_stale_() {
+void LadderQueue::purge_stale_() {
   std::size_t removed = 0;
   auto filter = [&](std::vector<EventKey>& v) {
     std::size_t out = 0;
@@ -363,12 +315,12 @@ void EventQueue::ladder_purge_stale_() {
   tail_min_ = kNoEventTime;
   for (const EventKey& k : tail_)
     if (k.t < tail_min_) tail_min_ = k.t;
-  lq_size_ -= removed;
+  size_ -= removed;
   stale_ = 0;
-  DPAR_IF_CHECKING(ladder_check_invariants_());
+  DPAR_IF_CHECKING(check_invariants());
 }
 
-std::size_t EventQueue::idle_capacity() const {
+std::size_t LadderQueue::idle_capacity() const {
   std::size_t most = spill_.capacity();
   if (tail_.empty() && tail_.capacity() > most) most = tail_.capacity();
   for (const Level& lvl : levels_)
@@ -377,7 +329,7 @@ std::size_t EventQueue::idle_capacity() const {
   return most;
 }
 
-void EventQueue::ladder_check_invariants_() const {
+void LadderQueue::check_invariants() const {
   std::size_t counted = 0;
   std::size_t stale_keys = 0;
   auto count = [&](const EventKey& k) {
@@ -431,7 +383,7 @@ void EventQueue::ladder_check_invariants_() const {
                   "ladder queue: live tail key in the floor bucket");
     }
   }
-  DPAR_ASSERT(counted == lq_size_, "ladder queue: size count out of sync");
+  DPAR_ASSERT(counted == size_, "ladder queue: size count out of sync");
   DPAR_ASSERT(stale_keys == stale_, "ladder queue: stale count out of sync");
 }
 

@@ -5,7 +5,7 @@
 #include <bit>
 
 #include "dualpar/crm.hpp"
-#include "reqdist_reference.hpp"
+#include "oracles/reqdist_reference.hpp"
 #include "sim/rng.hpp"
 
 namespace dpar::dualpar {

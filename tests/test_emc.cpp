@@ -7,7 +7,7 @@
 
 #include "dualpar/emc.hpp"
 #include "harness/testbed.hpp"
-#include "reqdist_reference.hpp"
+#include "oracles/reqdist_reference.hpp"
 #include "wl/workloads.hpp"
 
 namespace dpar::dualpar {

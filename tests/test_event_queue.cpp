@@ -1,17 +1,20 @@
-// Differential tests for the tiered event queue (sim/event_queue.hpp): the
-// ladder/timer-wheel arm is driven op-for-op against the frozen heap oracle
-// (queue_reference.cpp) under randomized schedule/cancel/drain mixes, and
-// whole-engine runs are byte-compared across queue kinds. Under
-// DPAR_CHECK_INVARIANTS the bucket-monotonicity invariant is death-tested
-// through the queue's corruption hooks.
+// Differential tests for the engine's ladder queue (sim/event_queue.hpp):
+// it is driven op-for-op against the frozen heap oracle
+// (tests/oracles/heap_queue.hpp) under randomized schedule/cancel/drain
+// mixes, and a whole sim::Engine run is compared with the same scenario on a
+// minimal engine loop over the heap. Under DPAR_CHECK_INVARIANTS the
+// bucket-monotonicity invariant and the heap order are death-tested through
+// the queues' corruption hooks.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
+#include "oracles/heap_queue.hpp"
+#include "oracles/key_driver.hpp"
 #include "sim/debug.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/func.hpp"
 #include "sim/rng.hpp"
 
 namespace dpar {
@@ -19,44 +22,41 @@ namespace {
 
 using sim::Engine;
 using sim::EventKey;
-using sim::EventQueue;
-using sim::QueueKind;
+using sim::HeapQueue;
+using sim::KeyDriver;
+using sim::LadderQueue;
 using sim::Time;
 
 // ---- direct queue differential ------------------------------------------
 
-/// Both queue kinds over one shared slab-generation array, driven with
-/// identical keys. Every observable (next_time, pop order, size after
-/// purges) must agree exactly.
+/// The ladder and the heap oracle, each behind its own KeyDriver and fed
+/// the same push/cancel/pop stream, so their slots and generations stay in
+/// lockstep. Every observable (next_time, pop order, live counts) must agree
+/// exactly.
 struct QueuePair {
-  std::vector<std::uint32_t> gens;
-  EventQueue heap{QueueKind::kHeap, &gens};
-  EventQueue ladder{QueueKind::kLadder, &gens};
-  std::uint64_t next_seq = 1;
+  KeyDriver<HeapQueue> heap;
+  KeyDriver<LadderQueue> ladder;
   Time now = 0;
 
-  std::uint32_t push(Time t) {
-    gens.push_back(1);
-    const auto slot = static_cast<std::uint32_t>(gens.size() - 1);
-    const EventKey k{t, next_seq++, slot, 1};
-    heap.push(k);
-    ladder.push(k);
-    return slot;
+  EventKey push(Time t) {
+    const EventKey h = heap.push(t);
+    const EventKey l = ladder.push(t);
+    EXPECT_EQ(h.slot, l.slot);
+    return h;
   }
 
-  void cancel(std::uint32_t slot) {
-    ++gens[slot];
-    heap.note_cancel();
-    ladder.note_cancel();
+  void cancel(const EventKey& k) {
+    const bool h = heap.cancel(k);
+    EXPECT_EQ(h, ladder.cancel(k));
   }
 
   /// Pop one live key from both; returns false when both are drained.
-  /// Asserts the popped keys match and marks the slot fired.
+  /// Asserts the popped keys match.
   bool pop_and_compare() {
     EXPECT_EQ(heap.next_time(), ladder.next_time());
     EventKey h{}, l{};
-    const bool hh = heap.pop_min_live(h);
-    const bool ll = ladder.pop_min_live(l);
+    const bool hh = heap.pop(h);
+    const bool ll = ladder.pop(l);
     EXPECT_EQ(hh, ll);
     if (!hh || !ll) return false;
     EXPECT_EQ(h.t, l.t);
@@ -64,16 +64,15 @@ struct QueuePair {
     EXPECT_EQ(h.slot, l.slot);
     EXPECT_GE(h.t, now);
     now = h.t;
-    ++gens[h.slot];  // fired: the slot's generation moves on
-    last_slot = h.slot;
+    last = h;
     return true;
   }
 
-  std::uint32_t last_slot = 0;  ///< slot of the most recent pop_and_compare
+  EventKey last{};  ///< key of the most recent pop_and_compare
 
   void check_both() const {
-    heap.check_invariants();
-    ladder.check_invariants();
+    heap.queue().check_invariants();
+    ladder.queue().check_invariants();
   }
 };
 
@@ -83,7 +82,7 @@ struct QueuePair {
 void run_differential_mix(std::uint64_t seed, int rounds, bool far_future) {
   sim::Rng rng(seed);
   QueuePair q;
-  std::vector<std::uint32_t> pending;
+  std::vector<EventKey> pending;
 
   const auto random_delta = [&]() -> Time {
     const double pick = rng.uniform(100) / 100.0;
@@ -113,26 +112,26 @@ void run_differential_mix(std::uint64_t seed, int rounds, bool far_future) {
       pending[at] = pending.back();
       pending.pop_back();
     }
-    // Drain a few and compare. Fired slots leave the cancellable set:
-    // note_cancel's contract is "a held key was invalidated", matching
-    // Engine::cancel, which rejects already-fired events.
+    // Drain a few and compare. Fired keys leave the cancellable set, so
+    // every cancel above hits a pending key.
     const int pops = static_cast<int>(rng.uniform(20));
     for (int i = 0; i < pops; ++i) {
       if (!q.pop_and_compare()) break;
-      pending.erase(std::remove(pending.begin(), pending.end(), q.last_slot),
-                    pending.end());
+      std::erase_if(pending, [&](const EventKey& k) {
+        return k.slot == q.last.slot && k.gen == q.last.gen;
+      });
     }
     q.check_both();
     // size() includes stale keys and the two arms shed them at different
     // moments (heap: lazily off the top; ladder: bulk purge on refill), so
     // raw sizes are not comparable — live counts must agree exactly.
-    EXPECT_EQ(q.heap.size() - q.heap.stale(),
-              q.ladder.size() - q.ladder.stale());
+    EXPECT_EQ(q.heap.queue().size() - q.heap.queue().stale(),
+              q.ladder.queue().size() - q.ladder.queue().stale());
   }
   while (q.pop_and_compare()) {
   }
-  EXPECT_EQ(q.heap.size(), 0u);
-  EXPECT_EQ(q.ladder.size(), 0u);
+  EXPECT_EQ(q.heap.queue().size(), 0u);
+  EXPECT_EQ(q.ladder.queue().size(), 0u);
   q.check_both();
 }
 
@@ -151,7 +150,7 @@ TEST(EventQueueDifferential, CancelStormLeavesBoundedQueue) {
   // Schedule/cancel churn with nothing ever firing: the amortized purge must
   // keep both arms' key counts bounded by ~2x live, so a million cancelled
   // timers cannot accumulate.
-  std::vector<std::uint32_t> live;
+  std::vector<EventKey> live;
   sim::Rng rng(99);
   for (int i = 0; i < 50000; ++i) {
     live.push_back(q.push(q.now + 1 + static_cast<Time>(rng.uniform(1 << 30))));
@@ -161,8 +160,8 @@ TEST(EventQueueDifferential, CancelStormLeavesBoundedQueue) {
       live.pop_back();
     }
   }
-  EXPECT_LE(q.heap.size(), 2 * live.size() + 128);
-  EXPECT_LE(q.ladder.size(), 2 * live.size() + 128);
+  EXPECT_LE(q.heap.queue().size(), 2 * live.size() + 128);
+  EXPECT_LE(q.ladder.queue().size(), 2 * live.size() + 128);
   q.check_both();
   while (q.pop_and_compare()) {
   }
@@ -170,11 +169,63 @@ TEST(EventQueueDifferential, CancelStormLeavesBoundedQueue) {
 
 // ---- engine-level differential ------------------------------------------
 
+/// A minimal engine loop over the heap oracle: sim::Engine's schedule,
+/// cancel, batch and run contract, with one callback per driver slot.
+class HeapEngine {
+ public:
+  using Callback = sim::UniqueFunction;
+
+  EventKey at(Time t, Callback cb) {
+    const EventKey k = keys_.push(t);
+    if (cbs_.size() <= k.slot) cbs_.resize(k.slot + 1);
+    cbs_[k.slot] = std::move(cb);
+    return k;
+  }
+  EventKey after(Time delay, Callback cb) { return at(now_ + delay, std::move(cb)); }
+  EventKey at_all(Time t, std::vector<Callback> cbs) {
+    return at(t, [cbs = std::move(cbs)]() mutable {
+      for (auto& cb : cbs) cb();
+    });
+  }
+  bool cancel(const EventKey& k) {
+    if (!keys_.cancel(k)) return false;
+    cbs_[k.slot].reset();
+    return true;
+  }
+
+  bool step() {
+    EventKey k;
+    if (!keys_.pop(k)) return false;
+    Callback cb = std::move(cbs_[k.slot]);  // the slot may be reused inside
+    now_ = k.t;
+    cb();
+    return true;
+  }
+  void run() {
+    while (step()) {
+    }
+  }
+  void run_until(Time t) {
+    while (keys_.next_time() <= t) step();
+    if (now_ < t) now_ = t;
+  }
+
+  Time now() const { return now_; }
+  bool empty() const { return keys_.live() == 0; }
+  void check_invariants() const { keys_.queue().check_invariants(); }
+
+ private:
+  KeyDriver<HeapQueue> keys_;
+  std::vector<Callback> cbs_;
+  Time now_ = 0;
+};
+
 /// Deterministic engine scenario recording every firing as (tag, time):
 /// timers are cancelled mid-flight, fired events schedule follow-ups, at_all
 /// batches fire in order, and an event lands at a mid-run run_until cut.
-std::vector<std::uint64_t> run_engine_scenario(QueueKind kind) {
-  Engine eng(kind);
+template <class E>
+std::vector<std::uint64_t> run_engine_scenario() {
+  E eng;
   std::vector<std::uint64_t> trace;
   auto record = [&trace, &eng](std::uint32_t tag) {
     trace.push_back((std::uint64_t{tag} << 32) |
@@ -182,7 +233,7 @@ std::vector<std::uint64_t> run_engine_scenario(QueueKind kind) {
   };
 
   sim::Rng rng(7);
-  std::vector<sim::EventId> cancellable;
+  std::vector<decltype(eng.at(0, [] {}))> cancellable;
   for (int i = 0; i < 200; ++i) {
     const Time t = 1 + static_cast<Time>(rng.uniform(1 << 20));
     const auto tag = static_cast<std::uint32_t>(i);
@@ -194,7 +245,7 @@ std::vector<std::uint64_t> run_engine_scenario(QueueKind kind) {
   // Deterministic cancel slice: every 7th scheduled timer dies before firing.
   for (std::size_t i = 0; i < cancellable.size(); i += 7) eng.cancel(cancellable[i]);
   // Batched release: one event, callbacks in order.
-  std::vector<Engine::Callback> batch;
+  std::vector<typename E::Callback> batch;
   for (int i = 0; i < 4; ++i) batch.push_back([&record, i] { record(20000 + i); });
   eng.at_all(Time{1 << 21}, std::move(batch));
 
@@ -210,9 +261,9 @@ std::vector<std::uint64_t> run_engine_scenario(QueueKind kind) {
 }
 
 TEST(EventQueueDifferential, EngineRunsAreIdenticalAcrossKinds) {
-  const std::vector<std::uint64_t> oracle = run_engine_scenario(QueueKind::kHeap);
+  const std::vector<std::uint64_t> oracle = run_engine_scenario<HeapEngine>();
   ASSERT_FALSE(oracle.empty());
-  EXPECT_EQ(run_engine_scenario(QueueKind::kLadder), oracle);
+  EXPECT_EQ(run_engine_scenario<Engine>(), oracle);
 }
 
 // ---- invariant death tests ----------------------------------------------
@@ -222,7 +273,7 @@ TEST(EventQueueDifferential, EngineRunsAreIdenticalAcrossKinds) {
 TEST(EventQueueDeath, LadderCatchesStrandedFrontBucket) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::vector<std::uint32_t> gens{0, 1};
-  EventQueue q(QueueKind::kLadder, &gens);
+  LadderQueue q(&gens);
   q.push(EventKey{100, 1, 1, 1});  // lands in the floor's front bucket
   q.debug_strand_front_for_test();  // floor jumps a whole wheel span ahead
   EXPECT_DEATH(q.check_invariants(), "outside the floor bucket");
@@ -231,7 +282,7 @@ TEST(EventQueueDeath, LadderCatchesStrandedFrontBucket) {
 TEST(EventQueueDeath, HeapCatchesBrokenOrder) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::vector<std::uint32_t> gens{0, 1, 1, 1};
-  EventQueue q(QueueKind::kHeap, &gens);
+  HeapQueue q(&gens);
   q.push(EventKey{100, 1, 1, 1});
   q.push(EventKey{200, 2, 2, 1});
   q.push(EventKey{300, 3, 3, 1});

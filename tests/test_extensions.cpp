@@ -1,6 +1,6 @@
-// Tests for the extension features: the anticipatory scheduler, per-server
-// disk heterogeneity, cache capacity/LRU eviction, collective aggregator
-// caps, and CSV export.
+// Tests for the extension features: per-server disk heterogeneity, cache
+// capacity/LRU eviction and idle expiry, collective aggregator caps, CSV
+// export, and disk request plugging.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,7 +17,6 @@ namespace dpar {
 namespace {
 
 using sim::Engine;
-using sim::Time;
 
 disk::Request make_req(std::uint64_t id, std::uint64_t lba, std::uint32_t sectors,
                        std::uint64_t ctx = 0) {
@@ -27,85 +26,6 @@ disk::Request make_req(std::uint64_t id, std::uint64_t lba, std::uint32_t sector
   r.sectors = sectors;
   r.context = ctx;
   return r;
-}
-
-TEST(AnticipatoryScheduler, ServesEverythingOnce) {
-  auto s = disk::make_anticipatory_scheduler();
-  sim::Rng rng(5);
-  for (std::uint64_t i = 0; i < 200; ++i)
-    s->enqueue(make_req(i, rng.uniform(1 << 22), 16, rng.uniform(4)), 0);
-  std::uint64_t served = 0, head = 0;
-  Time now = sim::secs(1);
-  int guard = 0;
-  while (s->pending() > 0 && guard++ < 3000) {
-    auto d = s->next(head, now);
-    if (d.kind == disk::Decision::Kind::kDispatch) {
-      ++served;
-      head = d.request.end_lba();
-      s->completed(d.request, now);
-    } else if (d.kind == disk::Decision::Kind::kWaitUntil) {
-      now = std::max(now + 1, d.wait_until);
-    } else {
-      break;
-    }
-    now += sim::usec(200);
-  }
-  EXPECT_EQ(served, 200u);
-}
-
-TEST(AnticipatoryScheduler, WaitsForTheLastSyncContext) {
-  auto s = disk::make_anticipatory_scheduler(sim::msec(6), sim::msec(10));
-  Time now = 0;
-  // Context 1 reads at LBA 1000; a far request from context 2 is queued.
-  s->enqueue(make_req(1, 1000, 16, 1), now);
-  auto d = s->next(0, now);
-  ASSERT_EQ(d.kind, disk::Decision::Kind::kDispatch);
-  s->enqueue(make_req(2, 9'000'000, 16, 2), now);
-  now += sim::msec(1);
-  s->completed(d.request, now);
-  // Immediately after the sync completion the scheduler should anticipate
-  // context 1 rather than jump to the far request.
-  d = s->next(1016, now);
-  EXPECT_EQ(d.kind, disk::Decision::Kind::kWaitUntil);
-  // Context 1 delivers a nearby request within the window: it wins.
-  now += sim::msec(2);
-  s->enqueue(make_req(3, 1016, 16, 1), now);
-  d = s->next(1016, now);
-  ASSERT_EQ(d.kind, disk::Decision::Kind::kDispatch);
-  EXPECT_EQ(d.request.lba, 1016u);
-}
-
-TEST(AnticipatoryScheduler, GivesUpAtTheDeadline) {
-  auto s = disk::make_anticipatory_scheduler(sim::msec(6), sim::msec(10));
-  Time now = 0;
-  s->enqueue(make_req(1, 1000, 16, 1), now);
-  auto d = s->next(0, now);
-  s->enqueue(make_req(2, 9'000'000, 16, 2), now);
-  now += sim::msec(1);
-  s->completed(d.request, now);
-  d = s->next(1016, now);
-  ASSERT_EQ(d.kind, disk::Decision::Kind::kWaitUntil);
-  now = d.wait_until;  // nothing arrives
-  d = s->next(1016, now);
-  ASSERT_EQ(d.kind, disk::Decision::Kind::kDispatch);
-  EXPECT_EQ(d.request.lba, 9'000'000u);  // bet lost, serve the far request
-}
-
-TEST(AnticipatoryScheduler, EndToEndThroughTestbed) {
-  harness::TestbedConfig cfg;
-  cfg.data_servers = 2;
-  cfg.compute_nodes = 2;
-  cfg.scheduler = disk::SchedulerKind::kAnticipatory;
-  harness::Testbed tb(cfg);
-  wl::DemoConfig dc;
-  dc.file = tb.create_file("f", 4 << 20);
-  dc.file_size = 4 << 20;
-  dc.segment_size = 16 * 1024;
-  auto& job = tb.add_job("j", 2, tb.vanilla(),
-                         [dc](std::uint32_t) { return wl::make_demo(dc); },
-                         dualpar::Policy::kForcedNormal);
-  tb.run();
-  EXPECT_EQ(job.total_bytes(), 4u << 20);
 }
 
 TEST(HeterogeneousServers, DegradedServerSlowsItsRequests) {

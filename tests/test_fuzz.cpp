@@ -11,6 +11,7 @@
 #include "disk/model.hpp"
 #include "harness/testbed.hpp"
 #include "net/network.hpp"
+#include "oracles/layout_reference.hpp"
 #include "pfs/layout.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"

@@ -1,5 +1,5 @@
 // Differential tests: the closed-form striping decomposition against the
-// frozen per-chunk reference loop (layout_reference.cpp), over randomized
+// frozen per-chunk reference loop (tests/oracles/layout_reference.cpp), over randomized
 // layouts — non-power-of-two units, 1 to 300 servers, offsets and lengths
 // straddling unit and round boundaries — plus the structural invariants the
 // client send path relies on (partition, maximal coalescing, touched list).
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "oracles/layout_reference.hpp"
 #include "pfs/layout.hpp"
 #include "sim/rng.hpp"
 

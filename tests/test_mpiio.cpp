@@ -5,8 +5,8 @@
 #include <memory>
 #include <string>
 
-#include "collective_reference.hpp"
 #include "harness/testbed.hpp"
+#include "oracles/collective_reference.hpp"
 #include "sim/rng.hpp"
 #include "wl/workloads.hpp"
 
@@ -136,31 +136,27 @@ TEST(Collective, WritePathDeliversAllBytes) {
   EXPECT_EQ(written, fsize);
 }
 
-TEST(Collective, WriteSievingDoesReadModifyWrite) {
-  auto server_reads = [&](bool rmw) {
-    harness::TestbedConfig cfg = small_config();
-    cfg.collective.write_sieving = rmw;
-    harness::Testbed tb(cfg);
-    wl::NoncontigConfig nc;
-    nc.columns = 4;
-    nc.elmt_count = 256;
-    nc.rows = 128;
-    nc.collective = true;
-    nc.is_write = true;
-    const std::uint64_t fsize = nc.columns * nc.elmt_count * 4 * nc.rows;
-    nc.file = tb.create_file("a", fsize);
-    auto& job = tb.add_job("w", 2, tb.collective(), [&](std::uint32_t) {
-      return wl::make_noncontig(nc);  // 2 of 4 columns -> holes in the span
-    }, dualpar::Policy::kForcedNormal);
-    tb.run();
-    EXPECT_TRUE(job.finished());
-    std::uint64_t reads = 0;
-    for (std::uint32_t s = 0; s < tb.num_servers(); ++s)
-      reads += tb.server(s).bytes_read();
-    return reads;
-  };
-  EXPECT_EQ(server_reads(false), 0u);  // native list I/O: pure writes
-  EXPECT_GT(server_reads(true), 0u);   // RMW path read the spans first
+TEST(Collective, HoleyWritesUseListIo) {
+  // Writes never sieve: an aggregator whose domain has holes writes its
+  // pieces as list I/O and reads nothing, as ROMIO does on PVFS2.
+  harness::Testbed tb(small_config());
+  wl::NoncontigConfig nc;
+  nc.columns = 4;
+  nc.elmt_count = 256;
+  nc.rows = 128;
+  nc.collective = true;
+  nc.is_write = true;
+  const std::uint64_t fsize = nc.columns * nc.elmt_count * 4 * nc.rows;
+  nc.file = tb.create_file("a", fsize);
+  auto& job = tb.add_job("w", 2, tb.collective(), [&](std::uint32_t) {
+    return wl::make_noncontig(nc);  // 2 of 4 columns -> holes in the span
+  }, dualpar::Policy::kForcedNormal);
+  tb.run();
+  EXPECT_TRUE(job.finished());
+  std::uint64_t reads = 0;
+  for (std::uint32_t s = 0; s < tb.num_servers(); ++s)
+    reads += tb.server(s).bytes_read();
+  EXPECT_EQ(reads, 0u);
 }
 
 TEST(Collective, DataSievingReadsContiguousSpan) {
@@ -221,7 +217,6 @@ void expect_same_plan(const TwoPhasePlan& got, const TwoPhasePlan& want) {
     EXPECT_EQ(got.aggs[a].node, want.aggs[a].node);
     EXPECT_EQ(got.aggs[a].context, want.aggs[a].context);
     EXPECT_EQ(got.aggs[a].segs, want.aggs[a].segs);
-    EXPECT_EQ(got.aggs[a].rmw, want.aggs[a].rmw);
   }
   ASSERT_EQ(got.messages.size(), want.messages.size());
   for (std::size_t m = 0; m < want.messages.size(); ++m) {
@@ -236,8 +231,8 @@ void expect_same_plan(const TwoPhasePlan& got, const TwoPhasePlan& want) {
 
 TEST(TwoPhasePlanner, MatchesTheMapAndSortOracleOnRandomRounds) {
   // plan_two_phase (ordered visit, dense traffic table, coalesce-on-place)
-  // against the frozen map-and-sort planner: same aggregator lists, RMW
-  // flags, message list in order, and shuffle volume. One plan and scratch
+  // against the frozen map-and-sort planner: same aggregator lists, message
+  // list in order, and shuffle volume. One plan and scratch
   // serve every trial, as in the driver, so nothing may leak from a
   // previous round of another shape.
   sim::Rng rng(0x2face);
@@ -265,7 +260,6 @@ TEST(TwoPhasePlanner, MatchesTheMapAndSortOracleOnRandomRounds) {
 
     CollectiveParams params;
     params.max_aggregators = static_cast<std::uint32_t>(rng.uniform(4));
-    params.write_sieving = rng.chance(0.5);
     if (rng.chance(0.3)) params.sieve_buffer = rng.uniform_between(1, 1 << 16);
     if (rng.chance(0.3)) params.sieve_min_density = rng.uniform01();
     const bool is_write = rng.chance(0.5);

@@ -158,7 +158,7 @@ TEST(SimFanInPool, OpenFanInsDieWithThePool) {
 
 TEST(EventQueueRetention, BurstDrainLeavesBucketsAtTheCap) {
   std::vector<std::uint32_t> gens;
-  sim::EventQueue q(sim::QueueKind::kLadder, &gens);
+  sim::LadderQueue q(&gens);
   sim::Rng rng(5);
   // 100k keys over 20 s: every wheel level and the tail see buckets of
   // hundreds to thousands of keys.

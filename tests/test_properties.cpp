@@ -238,8 +238,6 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulers, SchedulerSweep,
                              case disk::SchedulerKind::kDeadline: return "deadline";
                              case disk::SchedulerKind::kCscan: return "cscan";
                              case disk::SchedulerKind::kCfq: return "cfq";
-                             case disk::SchedulerKind::kAnticipatory:
-                               return "anticipatory";
                            }
                            return "x";
                          });

@@ -28,7 +28,7 @@ contract"):
                   stack garbage and changes results run to run.
   event-queue     std::priority_queue / make_heap / push_heap / pop_heap in
                   src/. Hand-rolled timer queues bypass the engine's tiered
-                  event queue (sim::EventQueue): cancels degrade to O(n) and
+                  event queue (sim::LadderQueue): cancels degrade to O(n) and
                   the (time, seq) total order the byte-identical-output
                   contract rests on is easy to get subtly wrong. Schedule
                   through sim::Engine; the engine's own queue files are
@@ -78,7 +78,7 @@ RULES = {
                    "allocator order, different every run)",
     "uninit-config": "uninitialized POD member in a *Config/*Params struct",
     "event-queue": "hand-rolled heap/priority-queue in src/ "
-                   "(schedule through sim::Engine / sim::EventQueue)",
+                   "(schedule through sim::Engine / sim::LadderQueue)",
     "stale-allow": "dpar-lint: allow() comment that suppresses no finding "
                    "(remove it or re-justify it)",
 }
@@ -86,13 +86,11 @@ RULES = {
 # Files exempt from a rule (relative to the repo root, forward slashes).
 RULE_EXEMPT_FILES = {
     "raw-random": {"src/sim/rng.hpp"},
-    # The engine's own queue layer is the one sanctioned home for heap
-    # primitives: the tiered queue's front heap and the frozen differential
-    # oracle.
+    # The engine's own queue is the one sanctioned home for heap primitives
+    # in src/: the ladder's front heap.
     "event-queue": {
         "src/sim/event_queue.hpp",
         "src/sim/event_queue.cpp",
-        "src/sim/queue_reference.cpp",
     },
 }
 

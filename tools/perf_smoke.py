@@ -38,7 +38,7 @@ MIN_QUEUE_SPEEDUP = 1.5
 # the tiered structure never taxes the mainline simulation benches.
 MAX_FIGURE_REGRESSION = 0.05
 FIGURE_PREFIX = "figures/"
-GATED_POLICIES = ("deadline", "cscan", "cfq", "anticipatory")
+GATED_POLICIES = ("deadline", "cscan", "cfq")
 UNGATED_POLICIES = ("noop",)
 # Benchmarks that must be present in every bench_micro run: a silently
 # dropped benchmark would otherwise keep passing on its stale baseline row.
@@ -60,12 +60,12 @@ def label_config(label):
                 "cap, 32 MB foreground demo job")
     if label.startswith("BM_EventQueueSweep/"):
         kind = label.rsplit("_", 1)[-1]
-        return (f"{kind} queue: 32k standing timeout timers, "
+        return (f"bare {kind} queue (no engine): 32k standing timeout keys, "
                 "64 rounds of 512 cancel+re-arm churn")
     if label.startswith("BM_EventQueueTimerChurn/"):
         kind = label.rsplit("/", 1)[-1]
-        return (f"{kind} queue: 4096 self-re-arming timers, "
-                "64k fired events")
+        return (f"bare {kind} queue (no engine): 4096 self-re-arming keys, "
+                "64k pops")
     if label.startswith(FIGURE_PREFIX):
         return ("whole figure/table bench suite at DPAR_SCALE: total engine "
                 "events / total wall seconds")
@@ -105,7 +105,8 @@ def load_figure_rates(path):
 
 
 def gate_queue(current, failures):
-    """Gate the tiered event queue against its frozen heap oracle. The
+    """Gate the tiered event queue against its frozen heap oracle, both
+    driven bare (no engine, no callbacks) by one key driver. The
     cancel-heavy sweep is the workload the ladder exists for (O(1)
     generation-kill cancels, no sift/compaction storms) and must show >=
     MIN_QUEUE_SPEEDUP; the steady-state re-arm churn is printed for trend
