@@ -46,7 +46,6 @@ struct RunResult {
 bench::ExperimentStats run_one(bench::Variant v, const fault::FaultPlan& plan,
                                std::uint64_t scale) {
   harness::TestbedConfig cfg = bench::paper_config();
-  cfg.keep_traces = false;
   cfg.fault = plan;
   harness::Testbed tb(cfg);
   wl::DemoConfig dc;

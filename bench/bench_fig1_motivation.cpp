@@ -35,7 +35,9 @@ struct RunResult {
 
 RunResult run_demo(Variant v, std::uint64_t file_size, std::uint64_t segment,
                    sim::Time compute_per_call, bool keep_trace = false) {
-  harness::Testbed tb(bench::paper_config());
+  harness::TestbedConfig tc = bench::paper_config();
+  tc.keep_traces = keep_trace;
+  harness::Testbed tb(tc);
   wl::DemoConfig cfg;
   cfg.file = tb.create_file("demo.dat", file_size);
   cfg.file_size = file_size;
@@ -50,8 +52,8 @@ RunResult run_demo(Variant v, std::uint64_t file_size, std::uint64_t segment,
   RunResult r;
   r.seconds = sim::to_seconds(job.completion_time() - job.start_time());
   g_perf.finish(tm, r.seconds, events);
-  r.reversals = bench::trace_reversals(tb.server(1).trace().events());
   if (keep_trace) {
+    r.reversals = bench::trace_reversals(tb.server(1).trace().events());
     // Sample a window in the middle of the run, as the paper does (5.2-5.4s).
     const sim::Time mid = job.completion_time() / 2;
     r.trace = tb.server(1).trace().window(mid, mid + sim::msec(200));

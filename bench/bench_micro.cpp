@@ -536,7 +536,6 @@ void BM_RepairThroughput(benchmark::State& state) {
   std::uint64_t last_bytes = 0;
   for (auto _ : state) {
     harness::TestbedConfig cfg = bench::paper_config();
-    cfg.keep_traces = false;
     cfg.replica.replication_factor = 3;
     cfg.replica.repair_bandwidth = 400e6;  // let repair, not the cap, dominate
     cfg.fault.server.crashes.push_back(

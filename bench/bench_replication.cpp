@@ -51,7 +51,6 @@ bench::ExperimentStats run_one(std::uint32_t rf, replica::Placement placement,
                                replica::WriteFanout fanout, bool crash,
                                std::uint64_t scale) {
   harness::TestbedConfig cfg = bench::paper_config();
-  cfg.keep_traces = false;
   cfg.replica.replication_factor = rf;
   cfg.replica.placement = placement;
   cfg.replica.fanout = fanout;

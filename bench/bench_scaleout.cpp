@@ -31,7 +31,6 @@ harness::TestbedConfig scaleout_config(std::uint32_t servers, std::uint32_t node
   harness::TestbedConfig cfg = bench::paper_config();
   cfg.data_servers = servers;
   cfg.compute_nodes = nodes;
-  cfg.keep_traces = false;  // full event lists are prohibitive at 256 servers
   return cfg;
 }
 

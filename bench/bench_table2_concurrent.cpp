@@ -24,7 +24,9 @@ struct Result {
 };
 
 Result run_pair(bool is_write, Variant v, std::uint64_t scale, bool keep_trace) {
-  harness::Testbed tb(bench::paper_config());
+  harness::TestbedConfig tc = bench::paper_config();
+  tc.keep_traces = keep_trace;
+  harness::Testbed tb(tc);
   std::vector<mpi::Job*> jobs;
   for (int i = 0; i < 2; ++i) {
     wl::MpiIoTestConfig cfg;

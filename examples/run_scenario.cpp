@@ -176,6 +176,7 @@ int main(int argc, char** argv) {
   cfg.compute_nodes = o.nodes;
   cfg.scheduler = sched_of(o.sched);
   cfg.dualpar.cache_quota = o.quota_kb * 1024;
+  cfg.keep_traces = !o.csv.empty();  // the .trace.csv export reads the list
   harness::Testbed tb(cfg);
 
   const bool collective = (o.driver == "collective");

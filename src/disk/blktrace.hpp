@@ -1,9 +1,11 @@
 // Blktrace-style dispatch recorder.
 //
 // The paper uses blktrace to show LBN-vs-time scatter plots of the service
-// order (Figs 1c, 1d, 6a, 6b); this recorder captures the same stream from
-// the simulated device, and the seek-distance summary feeds the EMC locality
-// daemon (§IV-B) and Fig 7(b).
+// order (Figs 1c, 1d, 6a, 6b). This recorder counts every dispatch of the
+// simulated device: the seek-distance summary feeds the EMC locality daemon
+// (§IV-B) and Fig 7(b). It keeps the event list itself only on request
+// (set_keep_events), for the figures that plot it; a Fig 4 cell would
+// otherwise hold millions of events nobody reads.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,7 @@ class BlkTrace {
     ++dispatches_;
   }
 
-  /// Keep the full event list (disable for long runs to save memory).
+  /// Keep the full event list (off by default; the counters run regardless).
   void set_keep_events(bool keep) { keep_events_ = keep; }
   void clear() { events_.clear(); total_seek_ = 0; dispatches_ = 0; }
 
@@ -58,7 +60,7 @@ class BlkTrace {
   std::uint64_t dispatches() const { return dispatches_; }
 
  private:
-  bool keep_events_ = true;
+  bool keep_events_ = false;
   std::vector<TraceEvent> events_;
   sim::SlotSampler seek_slots_{sim::msec(500)};
   std::uint64_t total_seek_ = 0;

@@ -38,6 +38,10 @@ class BlockDevice {
     (void)inj;
     (void)owner;
   }
+  /// The device's dispatch trace (the first member's, for RAID).
+  virtual BlkTrace& trace() = 0;
+  /// Keep the full dispatch event list on every member disk.
+  virtual void set_keep_trace_events(bool keep) = 0;
 };
 
 class DiskDevice final : public BlockDevice {
@@ -51,8 +55,9 @@ class DiskDevice final : public BlockDevice {
     injector_ = inj;
     owner_ = owner;
   }
+  BlkTrace& trace() override { return trace_; }
+  void set_keep_trace_events(bool keep) override { trace_.set_keep_events(keep); }
 
-  BlkTrace& trace() { return trace_; }
   const DiskModel& model() const { return model_; }
   IoScheduler& scheduler() { return *sched_; }
 
@@ -98,6 +103,11 @@ class Raid0Device final : public BlockDevice {
   void set_fault_injector(fault::FaultInjector* inj, std::uint32_t owner) override {
     d0_.set_fault_injector(inj, owner);
     d1_.set_fault_injector(inj, owner);
+  }
+  BlkTrace& trace() override { return d0_.trace(); }
+  void set_keep_trace_events(bool keep) override {
+    d0_.set_keep_trace_events(keep);
+    d1_.set_keep_trace_events(keep);
   }
 
   DiskDevice& member(int i) { return i == 0 ? d0_ : d1_; }

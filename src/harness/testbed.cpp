@@ -43,7 +43,7 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
     servers_.push_back(std::make_unique<pfs::DataServer>(eng_, s,
                                                          make_device(eng_, cfg_, s),
                                                          cfg_.server));
-    servers_.back()->trace().set_keep_events(cfg_.keep_traces);
+    servers_.back()->device().set_keep_trace_events(cfg_.keep_traces);
     raw_servers.push_back(servers_.back().get());
   }
 

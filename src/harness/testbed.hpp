@@ -48,8 +48,10 @@ struct TestbedConfig {
   cache::CacheParams cache;
   dualpar::Params dualpar;
   mpiio::CollectiveParams collective;
-  /// Retain full blktrace event lists (disable for long sweeps).
-  bool keep_traces = true;
+  /// Retain the full blktrace event list on every member disk of every
+  /// server. Off by default: only the trace-plotting figures read the lists,
+  /// and the dispatch counters and seek statistics run either way.
+  bool keep_traces = false;
   /// Fault plan for the run. Default-constructed = disabled: no injector is
   /// created, every layer keeps its fault-free fast path and the simulation
   /// output is byte-identical to a build without the fault subsystem.

@@ -28,12 +28,6 @@ void DataServer::allocate(FileId file, std::uint64_t bytes) {
   extents_.emplace(file, e);
 }
 
-disk::BlkTrace& DataServer::trace() {
-  if (auto* d = dynamic_cast<disk::DiskDevice*>(dev_.get())) return d->trace();
-  auto* raid = dynamic_cast<disk::Raid0Device*>(dev_.get());
-  return raid->member(0).trace();
-}
-
 void DataServer::set_fault_injector(fault::FaultInjector* inj) {
   injector_ = inj;
   dev_->set_fault_injector(inj, node_);

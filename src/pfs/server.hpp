@@ -93,7 +93,7 @@ class DataServer {
   disk::BlockDevice& device() { return *dev_; }
   ServerCache& page_cache() { return cache_; }
   /// The blktrace of the underlying device (first member for RAID).
-  disk::BlkTrace& trace();
+  disk::BlkTrace& trace() { return dev_->trace(); }
   /// Bytes served to clients (from disk or the page cache).
   std::uint64_t bytes_read() const { return bytes_read_; }
   std::uint64_t bytes_written() const { return bytes_written_; }

@@ -260,6 +260,7 @@ TEST(CfqScheduler, ThinkTimeGateDisablesIdling) {
 TEST(DiskDevice, ServesSubmittedRequestsAndTraces) {
   Engine eng;
   DiskDevice dev(eng, test_params(), make_cfq_scheduler());
+  dev.set_keep_trace_events(true);
   int completed = 0;
   for (std::uint64_t i = 0; i < 10; ++i) {
     Request r = make_req(i, i * 1000, 32, i % 3);
@@ -345,6 +346,7 @@ TEST(Raid0Device, SequentialStreamUsesBothMembers) {
 
 TEST(BlkTrace, WindowSelectsEventsInRange) {
   BlkTrace tr;
+  tr.set_keep_events(true);
   for (int i = 0; i < 10; ++i) {
     TraceEvent ev;
     ev.time = sim::msec(i * 10);

@@ -1,6 +1,6 @@
 // Tests for the extension features: per-server disk heterogeneity, cache
 // capacity/LRU eviction and idle expiry, collective aggregator caps, CSV
-// export, and disk request plugging.
+// export, disk request plugging, and blktrace event-list retention.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -182,6 +182,7 @@ TEST(DiskPlugging, DelayedDispatchBatchesABurst) {
   disk::DiskParams p;
   p.plug_delay = sim::msec(2);
   disk::DiskDevice dev(eng, p, disk::make_cfq_scheduler());
+  dev.set_keep_trace_events(true);
   std::vector<std::uint64_t> lbas = {9000, 1000, 5000, 3000, 7000};
   for (std::uint64_t lba : lbas) {
     disk::Request r = make_req(lba, lba, 16, 0);
@@ -201,10 +202,53 @@ TEST(DiskPlugging, ThresholdUnplugsEarly) {
   p.plug_delay = sim::secs(10);  // absurdly long; threshold must fire first
   p.plug_threshold = 4;
   disk::DiskDevice dev(eng, p, disk::make_cfq_scheduler());
+  dev.set_keep_trace_events(true);
   for (std::uint64_t i = 0; i < 4; ++i) dev.submit(make_req(i, i * 1000, 16, 0));
   eng.run();
   EXPECT_EQ(dev.trace().events().size(), 4u);
   EXPECT_LT(dev.trace().events().front().time, sim::secs(1));
+}
+
+/// The demo workload on the default testbed (9 servers, each a RAID-0 pair).
+void run_demo_on(harness::Testbed& tb) {
+  wl::DemoConfig dc;
+  dc.file_size = 16 << 20;
+  dc.segment_size = 16 * 1024;
+  dc.file = tb.create_file("demo", dc.file_size);
+  tb.add_job("demo", 8, tb.vanilla(), [dc](std::uint32_t) { return wl::make_demo(dc); },
+             dualpar::Policy::kForcedNormal);
+  tb.run();
+}
+
+disk::BlkTrace& member_trace(harness::Testbed& tb, std::uint32_t server, int member) {
+  auto& raid = dynamic_cast<disk::Raid0Device&>(tb.server(server).device());
+  return raid.member(member).trace();
+}
+
+TEST(TraceRetention, DefaultKeepsNoEventListOnAnyMember) {
+  harness::Testbed tb;
+  run_demo_on(tb);
+  for (std::uint32_t s = 0; s < tb.num_servers(); ++s) {
+    for (int m = 0; m < 2; ++m) {
+      const disk::BlkTrace& tr = member_trace(tb, s, m);
+      EXPECT_GT(tr.dispatches(), 0u) << "server " << s << " member " << m;
+      EXPECT_TRUE(tr.events().empty()) << "server " << s << " member " << m;
+    }
+  }
+}
+
+TEST(TraceRetention, KeepTracesReachesEveryMember) {
+  harness::TestbedConfig cfg;
+  cfg.keep_traces = true;
+  harness::Testbed tb(cfg);
+  run_demo_on(tb);
+  for (std::uint32_t s = 0; s < tb.num_servers(); ++s) {
+    for (int m = 0; m < 2; ++m) {
+      const disk::BlkTrace& tr = member_trace(tb, s, m);
+      EXPECT_FALSE(tr.events().empty()) << "server " << s << " member " << m;
+      EXPECT_EQ(tr.events().size(), tr.dispatches()) << "server " << s << " member " << m;
+    }
+  }
 }
 
 }  // namespace

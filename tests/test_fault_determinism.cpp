@@ -64,7 +64,6 @@ std::string run_signature(std::uint64_t seed, bool use_dualpar) {
   cfg.data_servers = 4;
   cfg.compute_nodes = 3;
   cfg.cores_per_node = 4;
-  cfg.keep_traces = false;
   cfg.fault = random_plan(seed, cfg.data_servers, cfg.compute_nodes);
   harness::Testbed tb(cfg);
   wl::DemoConfig dc;

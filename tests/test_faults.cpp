@@ -24,7 +24,6 @@ harness::TestbedConfig small_cfg() {
   cfg.data_servers = 3;
   cfg.compute_nodes = 2;
   cfg.cores_per_node = 8;
-  cfg.keep_traces = false;
   return cfg;
 }
 

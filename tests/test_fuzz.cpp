@@ -211,7 +211,6 @@ TEST(FuzzFaults, RandomTransientPlansNeverHangOrLeakRequests) {
     if (!dualpar)
       cfg.replica.replication_factor = 1 + static_cast<std::uint32_t>(rng.uniform(2));
     cfg.cores_per_node = 8;
-    cfg.keep_traces = false;
     cfg.fault.seed = rng.uniform(UINT32_MAX);
     cfg.fault.disk.media_error_rate = 0.05 * rng.chance(0.5);
     cfg.fault.disk.stall_rate = 0.1 * rng.chance(0.5);

@@ -88,6 +88,7 @@ struct PfsFixture : ::testing::Test {
     for (std::uint32_t s = 0; s < kServers; ++s) {
       auto dev = std::make_unique<disk::DiskDevice>(eng, disk::DiskParams{},
                                                     disk::make_cfq_scheduler());
+      dev->set_keep_trace_events(true);
       servers.push_back(std::make_unique<DataServer>(eng, s, std::move(dev)));
       raw.push_back(servers.back().get());
     }

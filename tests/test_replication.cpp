@@ -225,7 +225,6 @@ std::string rep_signature(const fault::FaultPlan& plan, std::uint32_t rf,
   cfg.data_servers = 4;
   cfg.compute_nodes = 3;
   cfg.cores_per_node = 4;
-  cfg.keep_traces = false;
   cfg.replica.replication_factor = rf;
   cfg.replica.placement = placement;
   cfg.replica.fanout = fanout;
@@ -417,7 +416,6 @@ DurabilityOut run_single_crash(std::uint64_t seed, std::uint32_t rf,
   cfg.data_servers = 4;
   cfg.compute_nodes = 3;
   cfg.cores_per_node = 4;
-  cfg.keep_traces = false;
   cfg.replica.replication_factor = rf;
   cfg.replica.placement = placement;
   fault::ServerFaults::Crash crash;
@@ -484,7 +482,6 @@ TEST(ReplicationDurability, DegradedReadsFailOverDuringALongOutage) {
   cfg.data_servers = 4;
   cfg.compute_nodes = 3;
   cfg.cores_per_node = 4;
-  cfg.keep_traces = false;
   cfg.replica.replication_factor = 2;
   cfg.fault.server.crashes.push_back(
       {/*server=*/1, sim::msec(20), sim::msec(900)});
@@ -532,7 +529,6 @@ TEST(ReplicationDurability, FailStopCrashBlocksRepairButLosesNoChunkAtRf2) {
   cfg.data_servers = 4;
   cfg.compute_nodes = 3;
   cfg.cores_per_node = 4;
-  cfg.keep_traces = false;
   cfg.replica.replication_factor = 2;
   cfg.fault.server.crashes.push_back(
       {/*server=*/2, sim::msec(20), fault::kNeverRestarts});

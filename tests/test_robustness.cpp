@@ -162,7 +162,6 @@ Out run(bool use_dualpar, sim::Time crash_at, sim::Time restart_at) {
   cfg.data_servers = 3;
   cfg.compute_nodes = 2;
   cfg.cores_per_node = 8;
-  cfg.keep_traces = false;
   if (crash_at > 0) cfg.fault.server.crashes.push_back({1, crash_at, restart_at});
   harness::Testbed tb(cfg);
   wl::DemoConfig dc;

@@ -129,8 +129,7 @@ TEST(DiskDevice, AccountingMatchesWork) {
 }
 
 TEST(BlkTrace, KeepEventsOffStillCountsStats) {
-  BlkTrace tr;
-  tr.set_keep_events(false);
+  BlkTrace tr;  // default-constructed: keeps no event list
   TraceEvent ev;
   ev.time = sim::msec(1);
   ev.seek_distance = 500;
