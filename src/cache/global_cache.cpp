@@ -74,9 +74,14 @@ void GlobalCache::insert(pfs::FileId file, const pfs::Segment& seg, std::uint64_
   slices(params_.chunk_bytes, seg,
          [&](std::uint64_t index, std::uint64_t within, std::uint64_t take) {
            const ChunkKey key{file, index};
-           const bool existed = chunks_.count(key) != 0;
-           ChunkMeta& m = chunks_[key];
-           if (!existed) m.home = resolve_home(key, home_hint);
+           // One lookup for a chunk already cached, the common case; a
+           // try_emplace inlined here measured slower on btio_dualpar.
+           auto it = chunks_.find(key);
+           if (it == chunks_.end()) {
+             it = chunks_.try_emplace(key).first;
+             it->second.home = resolve_home(key, home_hint);
+           }
+           ChunkMeta& m = it->second;
            if (m.valid.empty()) {
              m.owner = owner;
              m.prefetched = prefetched;
@@ -93,9 +98,12 @@ void GlobalCache::write(pfs::FileId file, const pfs::Segment& seg, std::uint64_t
   slices(params_.chunk_bytes, seg,
          [&](std::uint64_t index, std::uint64_t within, std::uint64_t take) {
            const ChunkKey key{file, index};
-           const bool existed = chunks_.count(key) != 0;
-           ChunkMeta& m = chunks_[key];
-           if (!existed) m.home = resolve_home(key, home_hint);
+           auto it = chunks_.find(key);
+           if (it == chunks_.end()) {
+             it = chunks_.try_emplace(key).first;
+             it->second.home = resolve_home(key, home_hint);
+           }
+           ChunkMeta& m = it->second;
            if (m.valid.empty()) m.owner = owner;
            credit_valid(m, m.valid.add(within, within + take));
            if (m.dirty.empty()) dirty_chunks_[file].insert(index);

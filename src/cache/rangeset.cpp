@@ -64,6 +64,7 @@ std::uint64_t RangeSet::add(std::uint64_t begin, std::uint64_t end) {
                 ranges_.begin() + static_cast<std::ptrdiff_t>(hi));
   const std::uint64_t grown = (merged_end - merged_begin) - window_bytes;
   total_ += grown;
+  fit_storage();
   DPAR_IF_CHECKING(check_invariants());
   return grown;
 }
@@ -95,8 +96,22 @@ std::uint64_t RangeSet::remove(std::uint64_t begin, std::uint64_t end) {
     ranges_.insert(ranges_.begin() + static_cast<std::ptrdiff_t>(lo) + 1, right);
   }
   total_ -= removed;
+  fit_storage();
   DPAR_IF_CHECKING(check_invariants());
   return removed;
+}
+
+void RangeSet::fit_storage() {
+  const std::size_t live = ranges_.size();
+  if (live == 0) {
+    std::vector<ByteRange>().swap(ranges_);
+    return;
+  }
+  if (ranges_.capacity() <= kRangeSetFloor || 4 * live >= ranges_.capacity()) return;
+  std::vector<ByteRange> fitted;
+  fitted.reserve(std::max(kRangeSetFloor, 2 * live));
+  fitted.assign(ranges_.begin(), ranges_.end());
+  ranges_.swap(fitted);
 }
 
 void RangeSet::check_invariants() const {
@@ -110,6 +125,8 @@ void RangeSet::check_invariants() const {
   }
   DPAR_ASSERT(sum == total_,
               "RangeSet: incremental byte total diverged from range sum");
+  DPAR_ASSERT(ranges_.capacity() <= std::max(kRangeSetFloor, 4 * ranges_.size()),
+              "RangeSet: storage did not follow the live range count");
 }
 
 bool RangeSet::covers(std::uint64_t begin, std::uint64_t end) const {

@@ -5,6 +5,14 @@
 // hole-fill hot path and in every server-cache lookup, so storage is a flat
 // sorted vector (contiguous, cache-friendly, no per-node allocation) and the
 // point lookups use a branchless lower bound.
+//
+// Storage follows the live range count. The vector grows by doubling; when a
+// merge or a removal leaves it more than kRangeSetFloor slots and under a
+// quarter used, it gives the excess back (keeping twice the live count, so
+// reallocations stay amortised O(1) per operation), and an empty set keeps
+// no storage at all. A cache chunk that 256 ranks write in 40-byte cells
+// fragments into hundreds of ranges and then coalesces to one; without this
+// rule every such chunk would pin its peak vector for the rest of the run.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +30,10 @@ struct ByteRange {
   std::uint64_t length() const { return end - begin; }
   friend bool operator==(const ByteRange&, const ByteRange&) = default;
 };
+
+/// Slots a set may keep without shrinking: below this a give-back would cost
+/// more reallocations than it saves bytes.
+inline constexpr std::size_t kRangeSetFloor = 8;
 
 class RangeSet {
  public:
@@ -49,11 +61,13 @@ class RangeSet {
   void clear() {
     ranges_.clear();
     total_ = 0;
+    fit_storage();
   }
 
   /// Full structural validation (debug invariant layer): sortedness, pairwise
-  /// disjoint/non-adjacent, non-empty ranges, and the incrementally maintained
-  /// byte total matching the sum of range lengths. Aborts via DPAR_ASSERT on
+  /// disjoint/non-adjacent, non-empty ranges, the incrementally maintained
+  /// byte total matching the sum of range lengths, and storage within
+  /// max(kRangeSetFloor, 4 x live ranges). Aborts via DPAR_ASSERT on
   /// violation. Called after every add/remove when DPAR_CHECK_INVARIANTS is
   /// compiled in, and directly by tests.
   void check_invariants() const;
@@ -72,6 +86,9 @@ class RangeSet {
   std::size_t upper_bound_begin(std::uint64_t x) const;
   /// First index whose range ends at or after `x` (branchless binary search).
   std::size_t lower_bound_end(std::uint64_t x) const;
+  /// The storage rule, applied after every operation that drops ranges:
+  /// release an empty set's storage, shrink one under a quarter used.
+  void fit_storage();
 
   /// Invariant: sorted by begin, pairwise disjoint and non-adjacent
   /// (r[i].end < r[i+1].begin), every range non-empty.

@@ -37,7 +37,6 @@ class BlkTrace {
 
   /// Keep the full event list (off by default; the counters run regardless).
   void set_keep_events(bool keep) { keep_events_ = keep; }
-  void clear() { events_.clear(); total_seek_ = 0; dispatches_ = 0; }
 
   const std::vector<TraceEvent>& events() const { return events_; }
 

@@ -36,7 +36,9 @@ namespace dpar::sim {
 /// vectors (clear_bounded) and the event queue's wheel buckets release
 /// anything above it once empty, so steady traffic never touches the
 /// allocator while a one-off burst does not pin its peak footprint for the
-/// rest of the run.
+/// rest of the run. cache::RangeSet follows its length by the same idea with
+/// its own, smaller floor (cache/rangeset.hpp): a set is one per cache chunk,
+/// so it gives storage back as its ranges coalesce, not only once empty.
 inline constexpr std::size_t kRetainedCapacity = 64;
 
 /// Empty `v`, keeping its storage for reuse unless a burst grew it past

@@ -1,15 +1,18 @@
 // Pooled storage of the request path (sim/slab.hpp, sim/fanin.hpp), the
-// event queue's bounded bucket retention, and the teardown guarantee slab
+// event queue's bounded bucket retention, the cache range sets' give-back of
+// storage once their pieces coalesce, and the teardown guarantee slab
 // ownership buys: records still in flight when a Testbed dies are freed with
 // their owners, never leaked. Under the ASan CI leg (detect_leaks=1) a leak
 // in TestbedTeardown fails the run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "cache/rangeset.hpp"
 #include "harness/testbed.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
@@ -68,6 +71,41 @@ TEST(SimSlotFifo, DrainReleasesBurstCapacity) {
     EXPECT_EQ(f.capacity(), kept);
   }
   EXPECT_LE(kept, sim::kRetainedCapacity);
+}
+
+// The global cache's write-behind pattern: many ranks write 40-byte cells of
+// one chunk, which fragments into over a thousand ranges and then coalesces
+// into one. The set must not keep the fragmented peak's storage.
+TEST(CacheRangeSet, CoalescedFragmentsReleaseCapacity) {
+  constexpr std::uint64_t kPieces = 1024;
+  constexpr std::uint64_t kCell = 40;
+  const auto fragment = [&](cache::RangeSet& rs) {
+    for (std::uint64_t i = 0; i < kPieces; ++i) rs.add(2 * i * kCell, (2 * i + 1) * kCell);
+    ASSERT_EQ(rs.ranges().size(), kPieces);
+  };
+  cache::RangeSet rs;
+  fragment(rs);
+  EXPECT_GE(rs.ranges().capacity(), kPieces);
+  for (std::uint64_t i = 0; i < kPieces; ++i) {
+    rs.add((2 * i + 1) * kCell, (2 * i + 2) * kCell);
+    // Filling gap i bridges piece i with piece i + 1 (the last gap just extends).
+    EXPECT_EQ(rs.ranges().size(), std::max<std::uint64_t>(1, kPieces - 1 - i));
+  }
+  ASSERT_EQ(rs.ranges().size(), 1u);
+  EXPECT_EQ(rs.total_bytes(), 2 * kPieces * kCell);
+  EXPECT_LE(rs.ranges().capacity(), cache::kRangeSetFloor);
+
+  // A set emptied by remove keeps no storage, nor does a cleared one.
+  EXPECT_EQ(rs.remove(0, 2 * kPieces * kCell), 2 * kPieces * kCell);
+  EXPECT_TRUE(rs.empty());
+  EXPECT_EQ(rs.ranges().capacity(), 0u);
+  fragment(rs);
+  EXPECT_EQ(rs.remove(0, 2 * kPieces * kCell), kPieces * kCell);
+  EXPECT_EQ(rs.ranges().capacity(), 0u);
+  fragment(rs);
+  rs.clear();
+  EXPECT_EQ(rs.total_bytes(), 0u);
+  EXPECT_EQ(rs.ranges().capacity(), 0u);
 }
 
 TEST(FifoResource, CompletionThatResubmitsQueuesBehindWaitingJobs) {

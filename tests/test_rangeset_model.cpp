@@ -140,6 +140,10 @@ TEST_P(RangeSetModelTest, RandomizedOpsMatchReferenceModel) {
         break;
       }
     }
+    // Storage follows the live range count after every operation.
+    ASSERT_LE(flat.ranges().capacity(),
+              std::max(kRangeSetFloor, 4 * flat.ranges().size()))
+        << "op " << op;
     if (op % 256 == 0) {
       ASSERT_EQ(flat.ranges(), model.ranges()) << "op " << op;
       ASSERT_EQ(flat.total_bytes(), model.total_bytes()) << "op " << op;
