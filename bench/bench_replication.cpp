@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "harness.hpp"
-#include "metrics/replica_report.hpp"
 #include "wl/workloads.hpp"
 
 using namespace dpar;

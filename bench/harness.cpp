@@ -40,7 +40,6 @@ harness::TestbedConfig paper_config() {
   cfg.compute_nodes = 4;
   cfg.cores_per_node = 48;
   cfg.stripe_unit = 64 * 1024;
-  cfg.raid0 = true;
   cfg.scheduler = disk::SchedulerKind::kCfq;
   return cfg;
 }

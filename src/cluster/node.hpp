@@ -30,16 +30,8 @@ class ComputeNode {
   /// Run a compute burst of `duration`; `done` fires when it finishes.
   void run(sim::Time duration, CpuPriority prio, sim::UniqueFunction done);
 
-  /// Failure-domain (rack) the node lives in. Purely descriptive here — the
-  /// replica placement layer consumes it so rack-aware policies spread copies
-  /// across racks. Assigned by the testbed at assembly (node id mod racks).
-  void set_rack(std::uint32_t rack) { rack_ = rack; }
-  std::uint32_t rack() const { return rack_; }
-
   std::uint32_t id() const { return node_id_; }
   std::uint32_t cores() const { return cores_; }
-  std::uint32_t busy_cores() const { return busy_; }
-  std::size_t queued_tasks() const { return normal_q_.size() + ghost_q_.size(); }
   sim::Time normal_cpu_time() const { return normal_time_; }
   sim::Time ghost_cpu_time() const { return ghost_time_; }
 
@@ -56,7 +48,6 @@ class ComputeNode {
   sim::Engine& eng_;
   std::uint32_t node_id_;
   std::uint32_t cores_;
-  std::uint32_t rack_ = 0;
   std::uint32_t busy_ = 0;
   std::deque<Task> normal_q_;
   std::deque<Task> ghost_q_;

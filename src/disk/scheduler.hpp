@@ -69,10 +69,9 @@ std::unique_ptr<IoScheduler> make_cscan_scheduler();
 
 struct CfqParams {
   sim::Time slice_sync = sim::msec(100);  ///< time slice per context
-  sim::Time slice_idle = sim::msec(8);    ///< anticipation window
-  /// Contexts whose mean think time exceeds the idle window are not worth
-  /// idling for (mirrors CFQ's ttime heuristic).
-  bool think_time_gate = true;
+  /// Anticipation window. Contexts whose mean think time exceeds it are not
+  /// worth idling for (mirrors CFQ's ttime heuristic).
+  sim::Time slice_idle = sim::msec(8);
 };
 std::unique_ptr<IoScheduler> make_cfq_scheduler(CfqParams p = {});
 

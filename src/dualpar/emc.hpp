@@ -53,7 +53,6 @@ class Emc : public mpiio::RequestObserver {
   void note_server_state(std::uint32_t server, bool down);
   /// True while EMC is forcing vanilla execution because of faults.
   bool degraded() const { return degraded_; }
-  double error_ewma() const { return error_ewma_; }
   /// Route degraded entry/exit counts into a run's fault ledger (optional).
   void set_fault_injector(fault::FaultInjector* inj) { injector_ = inj; }
 
@@ -75,9 +74,7 @@ class Emc : public mpiio::RequestObserver {
   void check_invariants() const;
 
   // ---- Introspection for experiments ----
-  double last_seek_dist_bytes() const { return last_seek_; }
   double last_req_dist_bytes() const { return last_req_; }
-  double last_improvement_ratio() const { return last_ratio_; }
   const sim::TimeSeries& seek_series() const { return seek_series_; }
   const sim::TimeSeries& mode_series(std::uint32_t job_id) const;
   std::uint64_t mode_switches() const { return switches_; }

@@ -133,12 +133,8 @@ void PreexecDriver::pump(mpi::Process& proc, PState& st) {
     }
     if (st.ghost_end) break;
     mpi::Op op = st.prog->next(st.ctx);
-    if (std::holds_alternative<mpi::OpCompute>(op)) {
-      if (strip_compute_) continue;  // I/O slicing removed the computation
-      proc.node().run(std::get<mpi::OpCompute>(op).duration,
-                      cluster::CpuPriority::kGhost, [this, &proc, &st] { pump(proc, st); });
-      return;
-    }
+    // I/O slicing removed the computation.
+    if (std::holds_alternative<mpi::OpCompute>(op)) continue;
     if (std::holds_alternative<mpi::OpIo>(op)) {
       mpi::IoCall call = std::move(std::get<mpi::OpIo>(op).call);
       if (call.is_write || call.segments.empty()) continue;

@@ -2,12 +2,12 @@
 //
 // The Testbed creates one injector per run when its FaultPlan is enabled and
 // hands a pointer to every layer; a null injector pointer is the contract for
-// "fault-free" and keeps each layer on its original fast path. Probabilistic
-// decisions draw from one RNG stream per (layer, locality) — per-server disk
-// and server streams, per-sender-node network streams — all derived from the
-// plan seed with splitmix64, so enabling faults in one layer (or adding a
-// server or node) never perturbs another stream's draws. The whole fault
-// history is a pure function of (seed, plan).
+// "fault-free": no layer draws a fault and the PFS client arms no timeouts.
+// Probabilistic decisions draw from one RNG stream per (layer, locality) —
+// per-server disk and server streams, per-sender-node network streams — all
+// derived from the plan seed with splitmix64, so enabling faults in one layer
+// (or adding a server or node) never perturbs another stream's draws. The
+// whole fault history is a pure function of (seed, plan).
 //
 // The injector is also the run's fault ledger: every layer bumps Counters.
 // Server up/down transitions fan out to registered listeners (EMC

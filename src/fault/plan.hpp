@@ -7,8 +7,9 @@
 // Status values. Probabilistic faults draw from per-layer RNG streams seeded
 // from `seed`, so a given (seed, plan) reproduces the same fault sequence
 // byte-for-byte on every run and at any DPAR_JOBS. A default-constructed plan
-// is inert (enabled() == false) and the whole stack takes the exact same code
-// path as before the fault subsystem existed.
+// is inert (enabled() == false): no injector exists, so no layer draws a
+// fault or arms a timeout, and the simulation output is byte-identical to a
+// run without the fault subsystem.
 #pragma once
 
 #include <cstdint>
@@ -82,8 +83,8 @@ struct ServerFaults {
 };
 
 /// Client-side per-request timeout + capped exponential backoff. Only armed
-/// when fault injection is enabled; the fault-free fast path never schedules
-/// timeout events.
+/// when fault injection is enabled; without an injector the client schedules
+/// no timeout events and sends every request once.
 struct RetryPolicy {
   /// Base patience for a request, before the size-dependent term.
   sim::Time timeout_base = sim::msec(100);
@@ -106,9 +107,9 @@ struct FaultPlan {
   ServerFaults server;
   RetryPolicy retry;
 
-  /// True when the plan can produce any fault at all. A disabled plan keeps
-  /// the whole stack on the pre-fault fast path (no hooks, no timeout
-  /// events, byte-identical simulation output).
+  /// True when the plan can produce any fault at all. A disabled plan builds
+  /// no injector: no hooks, no timeout events, byte-identical simulation
+  /// output.
   bool enabled() const;
 
   /// Reject malformed plans loudly (negative rates, probabilities > 1, zero

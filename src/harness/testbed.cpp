@@ -13,13 +13,9 @@ std::unique_ptr<disk::BlockDevice> make_device(sim::Engine& eng,
   const disk::DiskParams& params = server < cfg.per_server_disk.size()
                                        ? cfg.per_server_disk[server]
                                        : cfg.disk;
-  if (cfg.raid0) {
-    return std::make_unique<disk::Raid0Device>(eng, params,
-                                               disk::make_scheduler(cfg.scheduler),
-                                               disk::make_scheduler(cfg.scheduler));
-  }
-  return std::make_unique<disk::DiskDevice>(eng, params,
-                                            disk::make_scheduler(cfg.scheduler));
+  return std::make_unique<disk::Raid0Device>(eng, params,
+                                             disk::make_scheduler(cfg.scheduler),
+                                             disk::make_scheduler(cfg.scheduler));
 }
 }  // namespace
 
@@ -92,13 +88,11 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
 
   if (cfg_.replica.enabled()) {
     cfg_.replica.validate(cfg_.data_servers);
-    // Failure domains: server s (and compute node n) lives in rack id mod
-    // num_racks — the deterministic assignment the rack-aware policy expects.
+    // Failure domains: server s lives in rack s mod num_racks — the
+    // deterministic assignment the rack-aware policy expects.
     std::vector<std::uint32_t> racks(cfg_.data_servers);
     for (std::uint32_t s = 0; s < cfg_.data_servers; ++s)
       racks[s] = s % cfg_.replica.num_racks;
-    for (std::uint32_t c = 0; c < cfg_.compute_nodes; ++c)
-      nodes_[c]->set_rack((cfg_.data_servers + 1 + c) % cfg_.replica.num_racks);
     // Built after the injector: the manager's ctor hooks the server up/down
     // listener, and listener order is part of the deterministic schedule.
     replicas_ = std::make_unique<replica::RepairManager>(

@@ -36,7 +36,7 @@ struct TestbedConfig {
   std::uint32_t compute_nodes = 4;     ///< nodes running MPI processes
   std::uint32_t cores_per_node = 48;   ///< paper: 48-core Opteron nodes
   std::uint64_t stripe_unit = 64 * 1024;
-  bool raid0 = true;                   ///< per-server RAID of two drives
+  /// Drive model: every data server stripes over a RAID-0 of two of them.
   disk::DiskParams disk;
   /// Optional per-server disk overrides (index = server id); servers beyond
   /// the vector use `disk`. Models heterogeneous or degraded storage (the
@@ -53,12 +53,13 @@ struct TestbedConfig {
   /// and the dispatch counters and seek statistics run either way.
   bool keep_traces = false;
   /// Fault plan for the run. Default-constructed = disabled: no injector is
-  /// created, every layer keeps its fault-free fast path and the simulation
-  /// output is byte-identical to a build without the fault subsystem.
+  /// created, no layer draws a fault, the PFS client arms no timeouts, and
+  /// the simulation output is byte-identical to a build without the fault
+  /// subsystem.
   fault::FaultPlan fault;
   /// N-way chunk replication. Default (replication_factor == 1) = disabled:
   /// no repair manager is created and the PFS keeps its pre-replication
-  /// allocation and request paths byte-for-byte.
+  /// allocation and one-copy requests byte-for-byte.
   replica::ReplicaConfig replica;
 };
 
@@ -79,6 +80,9 @@ class Testbed {
   const TestbedConfig& config() const { return cfg_; }
   /// The run's fault injector, or null when the plan is disabled.
   fault::FaultInjector* fault_injector() { return injector_.get(); }
+  /// PFS call records still held by the run's clients: zero once the event
+  /// queue has drained (tests check it after faulted runs).
+  std::size_t live_client_calls() const { return clients_->live_calls(); }
   /// The run's re-replication manager, or null when replication_factor == 1.
   replica::RepairManager* replica_manager() { return replicas_.get(); }
 
@@ -128,13 +132,16 @@ class Testbed {
   void evict_tick_();
 
   TestbedConfig cfg_;
+  /// Declared first so it is destroyed last: closures still pending in the
+  /// engine, the network and the servers when a run is torn down hold
+  /// references to the clients' call records and release them as they die.
+  std::unique_ptr<mpiio::ClientPool> clients_;
   sim::Engine eng_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<net::Network> net_;
   std::vector<std::unique_ptr<pfs::DataServer>> servers_;
   std::vector<std::unique_ptr<cluster::ComputeNode>> nodes_;
   std::unique_ptr<pfs::FileSystem> fs_;
-  std::unique_ptr<mpiio::ClientPool> clients_;
   std::unique_ptr<replica::RepairManager> replicas_;
   std::unique_ptr<cache::GlobalCache> cache_;
   std::unique_ptr<dualpar::Emc> emc_;

@@ -1,7 +1,6 @@
-// Perf self-accounting for the bench suite: allocation-free counters a hot
-// loop can bump, and a mergeable machine-readable JSON report
-// (BENCH_sim_core.json) so the simulator's perf trajectory is tracked
-// run-over-run.
+// Perf self-accounting for the bench suite: a mergeable machine-readable
+// JSON report (BENCH_sim_core.json) so the simulator's perf trajectory is
+// tracked run-over-run.
 #pragma once
 
 #include <cstdint>
@@ -9,21 +8,6 @@
 #include <vector>
 
 namespace dpar::metrics {
-
-/// Plain-integer perf counters — no allocation, no atomics; each experiment
-/// owns its engine, so accumulation happens single-threaded at report time.
-struct PerfCounters {
-  std::uint64_t events = 0;       ///< engine events fired
-  std::uint64_t experiments = 0;  ///< experiments accumulated
-  double busy_s = 0;              ///< summed per-experiment wall seconds
-
-  void note(std::uint64_t ev, double wall_s) {
-    events += ev;
-    busy_s += wall_s;
-    ++experiments;
-  }
-  double events_per_sec() const { return busy_s > 0 ? static_cast<double>(events) / busy_s : 0; }
-};
 
 /// One experiment row of the JSON report.
 struct PerfEntry {

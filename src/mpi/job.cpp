@@ -266,10 +266,7 @@ void Job::process_finished(Process& proc) {
   ++finished_;
   // A finishing process may complete a barrier the rest are waiting on.
   release_barrier_if_ready();
-  if (finished_ == nprocs()) {
-    completion_time_ = eng_.now();
-    if (on_complete_) on_complete_();
-  }
+  if (finished_ == nprocs()) completion_time_ = eng_.now();
 }
 
 sim::Histogram Job::read_latency() const {

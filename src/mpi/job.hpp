@@ -147,8 +147,6 @@ class Job {
 
   void start();
 
-  void set_on_complete(std::function<void()> cb) { on_complete_ = std::move(cb); }
-
   std::uint32_t id() const { return id_; }
   const std::string& name() const { return name_; }
   IoDriver& driver() { return driver_; }
@@ -204,7 +202,6 @@ class Job {
   std::uint32_t finished_ = 0;
   sim::Time start_time_ = -1;
   sim::Time completion_time_ = -1;
-  std::function<void()> on_complete_;
 
   // Barrier state for the current epoch. Waiters carry their rank so the
   // release can resume them in canonical rank order.

@@ -64,18 +64,15 @@ void plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_write,
     if (nodes.empty() || nodes.back().first != node) nodes.emplace_back(node, i);
     column[i] = static_cast<std::uint32_t>(nodes.size() - 1);
   }
-  std::size_t naggs = nodes.size();
-  if (params.max_aggregators > 0)
-    naggs = std::min<std::size_t>(naggs, params.max_aggregators);
-  plan.aggs.resize(naggs);  // kept aggregators keep their segment storage
-  for (std::size_t a = 0; a < naggs; ++a) {
+  const std::uint64_t nagg = nodes.size();
+  plan.aggs.resize(nagg);  // kept aggregators keep their segment storage
+  for (std::size_t a = 0; a < nagg; ++a) {
     TwoPhasePlan::Aggregator& agg = plan.aggs[a];
     agg.node = nodes[a].first;
     agg.context = ranks[nodes[a].second].context;
     agg.segs.clear();
   }
-  const std::uint64_t nagg = naggs;
-  const std::uint64_t ncols = nodes.size();
+  const std::uint64_t ncols = nagg;  // every rank node is an aggregator
   const std::uint64_t domain = (hi - lo + nagg - 1) / nagg;
 
   // Pieces and payload per (aggregator, rank node), dense and row-major so

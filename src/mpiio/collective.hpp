@@ -35,9 +35,6 @@ struct CollectiveParams {
   /// Per-rank CPU cost of the exchange bookkeeping, per participating rank
   /// (memcpy/pack/unpack of flattened datatypes).
   sim::Time exchange_cpu_per_rank = sim::usec(12);
-  /// ROMIO's cb_nodes hint: cap on the number of aggregators (0 = one per
-  /// participating compute node, the default).
-  std::uint32_t max_aggregators = 0;
 };
 
 /// One rank's share of a collective round, as the planner sees it.
@@ -93,8 +90,8 @@ struct TwoPhaseScratch {
 };
 
 /// Plan one round into `plan` (pure: schedules nothing). One aggregator per
-/// distinct compute node, by ascending node id, capped at `max_aggregators`;
-/// the accessed extent splits into equal contiguous file domains, one each.
+/// distinct compute node, by ascending node id; the accessed extent splits
+/// into equal contiguous file domains, one each.
 /// `plan` is overwritten; it and `scratch` keep their capacity, so a caller
 /// that reuses them plans steady rounds without allocating.
 void plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool is_write,

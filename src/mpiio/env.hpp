@@ -2,6 +2,7 @@
 // and the ADIO-style request observer that feeds the EMC daemon.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -23,6 +24,14 @@ class ClientPool {
     std::unique_ptr<pfs::Client>& c = clients_[node];
     if (!c) c = std::make_unique<pfs::Client>(fs_, node);
     return *c;
+  }
+
+  /// Call records still held by all clients (pfs::Client::live_calls).
+  std::size_t live_calls() const {
+    std::size_t n = 0;
+    for (const auto& c : clients_)
+      if (c) n += c->live_calls();
+    return n;
   }
 
  private:

@@ -53,7 +53,6 @@ void Network::send(NodeId from, NodeId to, std::uint64_t bytes,
   const sim::Time tx_start = src.tx_free_at > now ? src.tx_free_at : now;
   const sim::Time tx_finish = tx_start + tx_time;
   src.tx_free_at = tx_finish;
-  src.tx_busy += tx_time;
   sim::Time hop =
       params_.switch_latency +
       (params_.latency_jitter > 0

@@ -64,15 +64,12 @@ class Network {
 
   std::uint64_t messages_sent() const;
   std::uint64_t bytes_sent() const;
-  /// TX busy time of one node, for utilization reporting.
-  sim::Time tx_busy_time(NodeId n) const { return nics_[n].tx_busy; }
 
  private:
   struct Nic {
     /// Closed-form TX path: when the transmit FIFO drains. Messages leave in
     /// submission order, so no per-message completion event is needed.
     sim::Time tx_free_at = 0;
-    sim::Time tx_busy = 0;
     std::uint64_t messages = 0;  ///< messages sent by this node
     std::uint64_t bytes = 0;     ///< payload bytes sent by this node
     /// Per-sender jitter stream: a sender's latencies depend only on its own

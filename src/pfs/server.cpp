@@ -22,7 +22,7 @@ void DataServer::allocate(FileId file, std::uint64_t bytes) {
   if (extents_.count(file) != 0) return;  // idempotent
   const std::uint64_t sectors = disk::bytes_to_sectors(bytes);
   Extent e{next_free_sector_, sectors};
-  next_free_sector_ += sectors + disk::bytes_to_sectors(gap_bytes_);
+  next_free_sector_ += sectors + disk::bytes_to_sectors(kInterFileGapBytes);
   if (next_free_sector_ > dev_->capacity_sectors())
     throw std::runtime_error("DataServer: disk full");
   extents_.emplace(file, e);

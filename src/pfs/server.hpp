@@ -67,8 +67,6 @@ class DataServer {
   /// occupy disjoint disk regions — seeks between two programs' files are
   /// then long, as on a real aged file system.
   void allocate(FileId file, std::uint64_t bytes);
-  bool has_file(FileId file) const { return extents_.count(file) != 0; }
-  void set_inter_file_gap(std::uint64_t bytes) { gap_bytes_ = bytes; }
 
   /// Handle a request that has already been delivered to this node. The
   /// request is swapped into a pooled record: `req` is left holding that
@@ -143,8 +141,9 @@ class DataServer {
   /// the disk scheduler's state).
   std::uint64_t epoch_ = 0;
   std::unordered_map<FileId, Extent> extents_;
+  /// Free space allocate() leaves between consecutive files' extents.
+  static constexpr std::uint64_t kInterFileGapBytes = 1ull << 20;
   std::uint64_t next_free_sector_ = 2048;  ///< leave a small metadata region
-  std::uint64_t gap_bytes_ = 1ull << 20;
   std::uint64_t next_req_id_ = 1;
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;

@@ -19,10 +19,11 @@
 // parks the continuation in a slab record or a fan-in (sim/fanin.hpp) and
 // captures its slot, or stores it in a member, instead of re-capturing it.
 //
-// The object is the buffer plus two function pointers: an invoker and a
-// manager that relocates or destroys the callable. Captures that are
+// The object is the buffer plus two pointers: an invoker and a manager
+// table that relocates or destroys the callable. Captures that are
 // trivially copyable and destructible (pointers, ids, scalars) have no
-// manager and move as raw bytes.
+// manager and move as raw bytes; Relocatable closures and heap-stored
+// callables also move as bytes and call their manager only to be destroyed.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +55,37 @@ std::remove_cvref_t<F> inline_fn(F&& f) {
   return std::forward<F>(f);
 }
 
+/// A closure whose captures move as raw bytes but must be destroyed once:
+/// pointers, scalars and handles like pfs::Client's counted call reference,
+/// which a byte copy hands over whole (the source is abandoned, never
+/// destroyed) and whose destructor releases what it holds. UniqueFn moves it
+/// without a call and runs its manager only to destroy it. Built by
+/// relocatable_fn().
+template <class F>
+struct Relocatable {
+  F fn;
+  template <class... A>
+  decltype(auto) operator()(A&&... args) {
+    return fn(std::forward<A>(args)...);
+  }
+};
+
+template <class T>
+inline constexpr bool kIsRelocatable = false;
+template <class F>
+inline constexpr bool kIsRelocatable<Relocatable<F>> = true;
+
+/// inline_fn() for a closure that holds a releasing handle: marks it
+/// Relocatable. Only for captures that stay valid when moved by memcpy and
+/// need no destructor once moved from (no self-pointers, no SSO strings).
+template <class F>
+Relocatable<std::remove_cvref_t<F>> relocatable_fn(F&& f) {
+  static_assert(kFitsInline<Relocatable<std::remove_cvref_t<F>>>,
+                "closure spills past UniqueFn's inline buffer: capture a slab "
+                "slot or pointer instead of the data");
+  return {std::forward<F>(f)};
+}
+
 template <class Sig>
 class UniqueFn;
 
@@ -74,29 +106,25 @@ class UniqueFn<R(Args...)> {
       invoke_ = [](UniqueFn& self, Args... args) -> R {
         return (*self.inline_ptr<Fn>())(std::forward<Args>(args)...);
       };
-      // Captures of pointers and scalars (the common case) move as raw
-      // bytes and need no destructor: no manager.
-      if constexpr (!std::is_trivially_copyable_v<Fn> ||
-                    !std::is_trivially_destructible_v<Fn>) {
-        manage_ = [](UniqueFn* dst, UniqueFn& src) {
-          if (dst != nullptr)
-            ::new (static_cast<void*>(dst->storage_.buf))
-                Fn(std::move(*src.inline_ptr<Fn>()));
-          src.inline_ptr<Fn>()->~Fn();
-        };
+      if constexpr (std::is_trivially_copyable_v<Fn> &&
+                    std::is_trivially_destructible_v<Fn>) {
+        // Captures of pointers and scalars (the common case) move as raw
+        // bytes and need no destructor: no manager.
+      } else if constexpr (kIsRelocatable<Fn>) {
+        static constexpr Manager kManager{nullptr, &destroy_inline<Fn>};
+        manager_ = &kManager;
+      } else {
+        static constexpr Manager kManager{&relocate_inline<Fn>, &destroy_inline<Fn>};
+        manager_ = &kManager;
       }
     } else {
       storage_.ptr = new Fn(std::forward<F>(f));
       invoke_ = [](UniqueFn& self, Args... args) -> R {
         return (*self.heap_ptr<Fn>())(std::forward<Args>(args)...);
       };
-      manage_ = [](UniqueFn* dst, UniqueFn& src) {
-        if (dst != nullptr) {
-          dst->storage_.ptr = src.storage_.ptr;
-        } else {
-          delete src.heap_ptr<Fn>();
-        }
-      };
+      // The heap pointer moves as bytes.
+      static constexpr Manager kManager{nullptr, &destroy_heap<Fn>};
+      manager_ = &kManager;
     }
   }
 
@@ -117,9 +145,9 @@ class UniqueFn<R(Args...)> {
 
   void reset() noexcept {
     if (invoke_) {
-      if (manage_) manage_(nullptr, *this);
+      if (manager_) manager_->destroy(*this);
       invoke_ = nullptr;
-      manage_ = nullptr;
+      manager_ = nullptr;
     }
   }
 
@@ -130,18 +158,39 @@ class UniqueFn<R(Args...)> {
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
  private:
+  /// How a stored callable that is not plain bytes moves and ends.
+  struct Manager {
+    /// Moves the callable into `dst` and ends it in `src`. Null: the stored
+    /// bytes move as they are.
+    void (*relocate)(UniqueFn& dst, UniqueFn& src);
+    void (*destroy)(UniqueFn& self);
+  };
+
+  template <class Fn>
+  static void relocate_inline(UniqueFn& dst, UniqueFn& src) {
+    ::new (static_cast<void*>(dst.storage_.buf)) Fn(std::move(*src.inline_ptr<Fn>()));
+    src.inline_ptr<Fn>()->~Fn();
+  }
+  template <class Fn>
+  static void destroy_inline(UniqueFn& self) {
+    self.inline_ptr<Fn>()->~Fn();
+  }
+  template <class Fn>
+  static void destroy_heap(UniqueFn& self) {
+    delete self.heap_ptr<Fn>();
+  }
+
   void take_(UniqueFn& other) noexcept {
     if (other.invoke_) {
-      // No manager: the stored bytes are a trivially copyable callable.
-      if (other.manage_) {
-        other.manage_(this, other);
+      if (other.manager_ != nullptr && other.manager_->relocate != nullptr) {
+        other.manager_->relocate(*this, other);
       } else {
         storage_ = other.storage_;
       }
       invoke_ = other.invoke_;
-      manage_ = other.manage_;
+      manager_ = other.manager_;
       other.invoke_ = nullptr;
-      other.manage_ = nullptr;
+      other.manager_ = nullptr;
     }
   }
 
@@ -159,10 +208,9 @@ class UniqueFn<R(Args...)> {
     void* ptr;
   } storage_;
   R (*invoke_)(UniqueFn&, Args...) = nullptr;  ///< null iff empty
-  /// Moves the callable into `*dst` and ends it in `src` (`dst` non-null),
-  /// or destroys it in `src` (`dst` null). Null for trivially copyable and
-  /// destructible inline callables, which move as bytes.
-  void (*manage_)(UniqueFn* dst, UniqueFn& src) = nullptr;
+  /// Null for trivially copyable and destructible inline callables, which
+  /// move as bytes and need no destructor.
+  const Manager* manager_ = nullptr;
 };
 
 /// The engine's callback type and the I/O stack's completion-callback type.

@@ -56,8 +56,6 @@ inline TwoPhasePlan plan_two_phase(const std::vector<TwoPhaseRank>& ranks, bool 
     }
     std::sort(aggs.begin(), aggs.end(),
               [](const auto& a, const auto& b) { return a.node < b.node; });
-    if (params.max_aggregators > 0 && aggs.size() > params.max_aggregators)
-      aggs.resize(params.max_aggregators);
   }
   const std::uint64_t nagg = aggs.size();
   const std::uint64_t extent = hi - lo;

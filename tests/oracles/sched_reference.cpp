@@ -190,7 +190,6 @@ class RefCfqScheduler final : public IoScheduler {
   };
 
   bool should_idle(const Context& ctx) const {
-    if (!p_.think_time_gate) return true;
     if (!ctx.think_time.has_value()) return true;  // optimistic at first
     return ctx.think_time.value() <= static_cast<double>(p_.slice_idle);
   }

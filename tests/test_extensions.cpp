@@ -1,6 +1,6 @@
 // Tests for the extension features: per-server disk heterogeneity, cache
-// capacity/LRU eviction and idle expiry, collective aggregator caps, CSV
-// export, disk request plugging, and blktrace event-list retention.
+// capacity/LRU eviction and idle expiry, CSV export, disk request plugging,
+// and blktrace event-list retention.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -85,30 +85,6 @@ TEST(CacheCapacity, DirtyChunksAreNeverEvicted) {
   // Over capacity but everything is dirty: nothing may be dropped.
   EXPECT_EQ(cache.dirty_segments(1).size(), 1u);
   EXPECT_EQ(cache.total_valid_bytes(), 6u * 64 * 1024);
-}
-
-TEST(CollectiveAggregators, CapLimitsAggregatorCount) {
-  auto rounds_with_cap = [](std::uint32_t cap) {
-    harness::TestbedConfig cfg;
-    cfg.data_servers = 3;
-    cfg.compute_nodes = 4;
-    cfg.collective.max_aggregators = cap;
-    harness::Testbed tb(cfg);
-    wl::NoncontigConfig nc;
-    nc.columns = 8;
-    nc.elmt_count = 256;
-    nc.rows = 128;
-    nc.collective = true;
-    nc.file = tb.create_file("f", nc.columns * nc.elmt_count * 4 * nc.rows);
-    auto& job = tb.add_job("c", 8, tb.collective(),
-                           [nc](std::uint32_t) { return wl::make_noncontig(nc); },
-                           dualpar::Policy::kForcedNormal);
-    tb.run();
-    EXPECT_TRUE(job.finished());
-    return job.total_bytes();
-  };
-  // Both configurations move all application bytes.
-  EXPECT_EQ(rounds_with_cap(0), rounds_with_cap(1));
 }
 
 TEST(CacheEviction, IdleChunksExpireDuringLongRuns) {

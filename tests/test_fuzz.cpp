@@ -196,8 +196,10 @@ TEST(FuzzFaults, RandomTransientPlansNeverHangOrLeakRequests) {
   // itself throws if the queue drains with jobs unfinished, and an internal
   // event cap turns a livelock into a loud failure instead of a hang.
   // Vanilla rounds draw one or two client nodes and one or two copies, so
-  // both the one-copy and the replicated case of the client's retriable
-  // request path run under message loss from concurrent clients.
+  // both the one-copy and the replicated case of the client's request state
+  // machine run under message loss from concurrent clients. Every call
+  // record goes back to its client's slab once the run drains: a closure
+  // that kept its reference would show here, not as a heap leak.
   sim::Rng rng(0xfa57);
   for (int round = 0; round < 24; ++round) {
     const bool dualpar = rng.chance(0.5);
@@ -235,6 +237,8 @@ TEST(FuzzFaults, RandomTransientPlansNeverHangOrLeakRequests) {
     const auto c = tb.fault_injector()->counters();
     EXPECT_EQ(c.client_ops_started, c.client_ops_finished)
         << "round " << round << ": leaked in-flight requests";
+    EXPECT_EQ(tb.live_client_calls(), 0u)
+        << "round " << round << ": call records still held";
   }
 }
 

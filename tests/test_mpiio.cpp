@@ -259,7 +259,6 @@ TEST(TwoPhasePlanner, MatchesTheMapAndSortOracleOnRandomRounds) {
       std::swap(ranks[i - 1], ranks[rng.uniform(i)]);
 
     CollectiveParams params;
-    params.max_aggregators = static_cast<std::uint32_t>(rng.uniform(4));
     if (rng.chance(0.3)) params.sieve_buffer = rng.uniform_between(1, 1 << 16);
     if (rng.chance(0.3)) params.sieve_min_density = rng.uniform01();
     const bool is_write = rng.chance(0.5);

@@ -1,6 +1,8 @@
 // Pooled storage of the request path (sim/slab.hpp, sim/fanin.hpp), the
-// event queue's bounded bucket retention, the cache range sets' give-back of
-// storage once their pieces coalesce, and the teardown guarantee slab
+// byte-relocated closures that carry the client's call references
+// (sim/func.hpp), the event queue's bounded bucket retention, the cache
+// range sets' give-back of storage once their pieces coalesce, and the
+// teardown guarantee slab
 // ownership buys: records still in flight when a Testbed dies are freed with
 // their owners, never leaked. Under the ASan CI leg (detect_leaks=1) a leak
 // in TestbedTeardown fails the run.
@@ -17,6 +19,7 @@
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fanin.hpp"
+#include "sim/func.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
 #include "sim/slab.hpp"
@@ -193,6 +196,47 @@ TEST(SimFanInPool, OpenFanInsDieWithThePool) {
 }
 
 // ---- Event queue retention ----------------------------------------------------
+
+// ---- UniqueFn ---------------------------------------------------------------
+
+/// Counts live handles, like the client's counted call reference.
+struct CountedHandle {
+  int* live;
+  explicit CountedHandle(int* l) : live(l) { ++*live; }
+  CountedHandle(CountedHandle&& o) noexcept : live(o.live) { o.live = nullptr; }
+  CountedHandle(const CountedHandle&) = delete;
+  ~CountedHandle() {
+    if (live != nullptr) --*live;
+  }
+};
+
+TEST(SimUniqueFn, RelocatableClosureIsReleasedExactlyOnce) {
+  int live = 0, calls = 0;
+  {
+    sim::UniqueFunction a =
+        sim::relocatable_fn([h = CountedHandle(&live), &calls] { ++calls; });
+    EXPECT_EQ(live, 1);
+    // Moves hand the bytes over without destroying the source.
+    sim::UniqueFunction b = std::move(a);
+    sim::UniqueFunction c;
+    c = std::move(b);
+    EXPECT_FALSE(a);
+    EXPECT_FALSE(b);
+    EXPECT_EQ(live, 1);
+    c();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(live, 1);
+  }
+  EXPECT_EQ(live, 0);
+  // Destroyed unfired (a dropped message) and reset explicitly.
+  sim::UniqueFunction d = sim::relocatable_fn([h = CountedHandle(&live)] {});
+  sim::UniqueFunction e = sim::relocatable_fn([h = CountedHandle(&live)] {});
+  EXPECT_EQ(live, 2);
+  d.reset();
+  EXPECT_EQ(live, 1);
+  e = std::move(d);  // assigning an empty function destroys e's closure
+  EXPECT_EQ(live, 0);
+}
 
 TEST(EventQueueRetention, BurstDrainLeavesBucketsAtTheCap) {
   std::vector<std::uint32_t> gens;

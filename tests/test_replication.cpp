@@ -170,6 +170,7 @@ struct TrackerLog {
   std::string first_mismatch;  ///< empty while every cut agreed
   std::uint64_t final_incremental = 0;
   replica::DurabilityReport final_report;
+  std::size_t live_client_calls = 0;  ///< after the run drained
 };
 
 /// Mid-run cut points for the tracker differential. From the first server
@@ -263,6 +264,7 @@ std::string rep_signature(const fault::FaultPlan& plan, std::uint32_t rf,
            " peak_under=" + std::to_string(cuts->peak_under) + "\n";
     cuts->final_incremental = tb.replica_manager()->under_replicated_now();
     cuts->final_report = tb.replica_manager()->report();
+    cuts->live_client_calls = tb.live_client_calls();
   }
   return sig;
 }
@@ -361,6 +363,7 @@ TEST(ReplicationTracker, IncrementalCountMatchesFullScanAtEveryCut) {
     EXPECT_GT(log.cuts, 10u);
     EXPECT_GT(log.peak_under, 0u);
     EXPECT_EQ(log.final_report.lost_chunks, 0u);
+    EXPECT_EQ(log.live_client_calls, 0u) << "a closure kept a call record";
     if (c.fail_stop) {
       EXPECT_GT(log.final_report.under_replicated_now, 0u)
           << "a fail-stop server's copies stay unrebuilt";
@@ -505,8 +508,8 @@ TEST(ReplicationDurability, DegradedReadsFailOverDuringALongOutage) {
 
 TEST(ReplicationDurability, Rf1KeepsThePreReplicationPath) {
   // replication_factor == 1 must not even build the subsystem: no manager,
-  // no replica regions. Client calls take the fault-free fast path, or under
-  // faults the one-copy case of the retriable path, byte-for-byte.
+  // no replica regions. Client calls run the one-copy case of the request
+  // state machine, byte-for-byte.
   harness::TestbedConfig cfg;
   cfg.data_servers = 4;
   cfg.compute_nodes = 3;

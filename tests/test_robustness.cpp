@@ -155,8 +155,8 @@ struct Out {
 };
 
 /// Demo-read workload, optionally with a mid-run crash+restart of server 1.
-/// `crash_at` of 0 means no crash: the plan stays inert and the run takes the
-/// fault-free fast path, which is exactly the baseline we compare against.
+/// `crash_at` of 0 means no crash: the plan stays inert and the run arms no
+/// timeouts, which is exactly the baseline we compare against.
 Out run(bool use_dualpar, sim::Time crash_at, sim::Time restart_at) {
   harness::TestbedConfig cfg;
   cfg.data_servers = 3;
