@@ -127,7 +127,7 @@ BENCHMARK(BM_LegacyEngineScheduleFire);
 
 // The engine's real-world duty cycle: schedule with realistic captures (three
 // pointer-sized values — beyond std::function's inline buffer), cancel half
-// (the disk layer cancels plug/anticipation timers constantly), fire the rest.
+// (the disk layer cancels anticipation timers constantly), fire the rest.
 // Acceptance gate for the slab-heap engine: >= 2x legacy events/sec here.
 template <class Eng>
 void schedule_cancel_fire(Eng& eng, std::uint64_t& sink) {
@@ -170,7 +170,7 @@ BENCHMARK(BM_LegacyEngineScheduleCancelFire);
 // queues' own cost.
 //
 // The cancel-heavy timeout pattern the ladder queue was built for: a
-// standing population of far-future guard timers (I/O timeouts, plug and
+// standing population of far-future guard timers (I/O timeouts and
 // anticipation timers) that is continuously re-armed, with only a trickle
 // ever firing. The heap pays a deep sift per push into the big queue; the
 // ladder files each key into a bucket in O(1) and never re-sorts on cancel.
@@ -372,49 +372,6 @@ BENCHMARK_CAPTURE(BM_SchedDutyCycle, cfq_flat,
 BENCHMARK_CAPTURE(BM_SchedDutyCycle, cfq_ref,
                   +[] { return disk::make_reference_cfq_scheduler(); });
 
-// The batch hand-off a PFS server uses for a decomposed list-I/O request:
-// enqueue_batch on the flat scheduler merges one sorted run; the reference
-// falls back to per-request enqueue.
-void BM_SchedEnqueueBatch(benchmark::State& state, SchedFactory make) {
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    auto sched = make();
-    sim::Rng rng(13);
-    std::vector<disk::Request> batch(64);
-    std::uint64_t next_id = 1;
-    for (int round = 0; round < 8; ++round) {
-      // An ascending run, like decompose_segment emits.
-      std::uint64_t lba = rng.uniform(1 << 20);
-      for (auto& r : batch) {
-        r = disk::Request{};
-        r.id = next_id++;
-        r.lba = lba;
-        lba += 64 + rng.uniform(64);
-        r.sectors = 32;
-        r.context = 5;
-      }
-      sched->enqueue_batch(batch.data(), batch.size(), 0);
-    }
-    std::uint64_t head = 0;
-    while (sched->pending() > 0) {
-      auto d = sched->next(head, 0);
-      if (d.kind != disk::Decision::Kind::kDispatch) break;
-      head = d.request.end_lba();
-    }
-    sink = head;
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 8 * 64);
-}
-BENCHMARK_CAPTURE(BM_SchedEnqueueBatch, cscan_flat,
-                  +[] { return disk::make_cscan_scheduler(); });
-BENCHMARK_CAPTURE(BM_SchedEnqueueBatch, cscan_ref,
-                  +[] { return disk::make_reference_cscan_scheduler(); });
-BENCHMARK_CAPTURE(BM_SchedEnqueueBatch, deadline_flat,
-                  +[] { return disk::make_deadline_scheduler(); });
-BENCHMARK_CAPTURE(BM_SchedEnqueueBatch, deadline_ref,
-                  +[] { return disk::make_reference_deadline_scheduler(); });
-
 // Network send/deliver churn: the per-message path is one Transit control
 // block + two FifoResource hops; one item = one delivered message.
 void BM_NetworkSendDeliver(benchmark::State& state) {
@@ -452,7 +409,7 @@ void BM_RangeSetAddCovers(benchmark::State& state) {
 }
 BENCHMARK(BM_RangeSetAddCovers);
 
-// CRM's write-back pattern: build a fragmented set, punch holes, query gaps.
+// CRM's write-back pattern: build a fragmented set, punch holes, probe it.
 void BM_RangeSetRemoveGaps(benchmark::State& state) {
   sim::Rng rng(11);
   for (auto _ : state) {
@@ -465,7 +422,6 @@ void BM_RangeSetRemoveGaps(benchmark::State& state) {
       const std::uint64_t b = rng.uniform(1 << 20);
       rs.remove(b, b + 4096);
     }
-    benchmark::DoNotOptimize(rs.gaps_within(0, 1 << 20).size());
     benchmark::DoNotOptimize(rs.intersects(500'000, 600'000));
   }
   state.SetItemsProcessed(state.iterations() * 320);

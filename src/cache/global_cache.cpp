@@ -44,31 +44,6 @@ bool GlobalCache::covers(pfs::FileId file, const pfs::Segment& seg) const {
   return all;
 }
 
-std::vector<pfs::Segment> GlobalCache::missing(pfs::FileId file,
-                                               const pfs::Segment& seg) const {
-  std::vector<pfs::Segment> out;
-  slices(params_.chunk_bytes, seg,
-         [&](std::uint64_t index, std::uint64_t within, std::uint64_t take) {
-           const std::uint64_t chunk_base = index * params_.chunk_bytes;
-           auto it = chunks_.find(ChunkKey{file, index});
-           std::vector<ByteRange> gaps;
-           if (it == chunks_.end()) {
-             gaps.push_back(ByteRange{within, within + take});
-           } else {
-             gaps = it->second.valid.gaps_within(within, within + take);
-           }
-           for (const auto& g : gaps) {
-             const std::uint64_t b = chunk_base + g.begin;
-             if (!out.empty() && out.back().end() == b) {
-               out.back().length += g.length();
-             } else {
-               out.push_back(pfs::Segment{b, g.length()});
-             }
-           }
-         });
-  return out;
-}
-
 void GlobalCache::insert(pfs::FileId file, const pfs::Segment& seg, std::uint64_t owner,
                          bool prefetched, net::NodeId home_hint) {
   slices(params_.chunk_bytes, seg,
@@ -89,7 +64,6 @@ void GlobalCache::insert(pfs::FileId file, const pfs::Segment& seg, std::uint64_
            }
            credit_valid(m, m.valid.add(within, within + take));
            m.last_ref = eng_.now();
-           if (params_.capacity_per_node > 0) enforce_capacity(m.home);
          });
 }
 
@@ -111,7 +85,6 @@ void GlobalCache::write(pfs::FileId file, const pfs::Segment& seg, std::uint64_t
            m.last_ref = eng_.now();
            m.referenced = true;
            m.prefetched = false;
-           if (params_.capacity_per_node > 0) enforce_capacity(m.home);
          });
 }
 
@@ -287,37 +260,6 @@ void GlobalCache::transfer(pfs::FileId file, const pfs::Segment& seg,
                             sim::inline_fn([this, fan] { fans_.complete(fan); }));
                 }));
     }
-  }
-}
-
-void GlobalCache::enforce_capacity(net::NodeId node) {
-  // The usage check is O(1) via the per-node counters (it runs on every
-  // capacity-bounded insert slice); the victim scan below stays the full
-  // chunk-table walk, preserving the exact first-smallest-last_ref
-  // tie-breaking of the original — eviction order is part of the
-  // deterministic output. Dirty and just-touched chunks are spared.
-  std::uint64_t used = node_bytes(node);
-  while (used > params_.capacity_per_node) {
-    const ChunkKey* victim = nullptr;
-    sim::Time oldest = INT64_MAX;
-    // Smallest-(last_ref, key) victim: the key tie-break makes the choice
-    // independent of the unordered table's hash order, so eviction order —
-    // which is part of the deterministic output — never leaks it.
-    // dpar-lint: allow(unordered-iter) min-scan with deterministic tie-break
-    for (const auto& [key, meta] : chunks_) {
-      if (meta.home != node || !meta.dirty.empty()) continue;
-      if (meta.last_ref < oldest ||
-          (meta.last_ref == oldest && victim != nullptr && key < *victim)) {
-        oldest = meta.last_ref;
-        victim = &key;
-      }
-    }
-    if (victim == nullptr) return;  // everything left is dirty
-    auto it = chunks_.find(*victim);
-    used -= it->second.valid.total_bytes();
-    debit_valid(it->second, it->second.valid.total_bytes());
-    chunks_.erase(it);
-    ++capacity_evictions_;
   }
 }
 

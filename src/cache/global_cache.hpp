@@ -29,9 +29,6 @@ struct ChunkKey {
   pfs::FileId file = 0;
   std::uint64_t index = 0;
   friend bool operator==(const ChunkKey&, const ChunkKey&) = default;
-  /// (file, index) lexicographic order — the deterministic tie-break for any
-  /// scan over the unordered chunk table whose result could reach output.
-  friend auto operator<=>(const ChunkKey&, const ChunkKey&) = default;
 };
 
 struct ChunkKeyHash {
@@ -57,9 +54,6 @@ inline constexpr net::NodeId kAutoHome = UINT32_MAX;
 struct CacheParams {
   std::uint64_t chunk_bytes = 64 * 1024;
   sim::Time idle_eviction = sim::secs(30);
-  /// Memcached memory per home node; exceeding it evicts the node's
-  /// least-recently-referenced clean chunks. 0 = unbounded.
-  std::uint64_t capacity_per_node = 0;
 };
 
 class GlobalCache {
@@ -69,9 +63,6 @@ class GlobalCache {
 
   /// True when every byte of `seg` is valid in the cache.
   bool covers(pfs::FileId file, const pfs::Segment& seg) const;
-
-  /// Sub-segments of `seg` not valid in the cache.
-  std::vector<pfs::Segment> missing(pfs::FileId file, const pfs::Segment& seg) const;
 
   /// Mark `seg` valid (after a prefetch or read-through fill). `home_hint`
   /// places newly created chunks on a specific node — CRM uses the future
@@ -137,12 +128,6 @@ class GlobalCache {
   const CacheParams& params() const { return params_; }
   std::uint64_t total_valid_bytes() const { return total_valid_; }
   std::uint64_t chunk_count() const { return chunks_.size(); }
-  std::uint64_t capacity_evictions() const { return capacity_evictions_; }
-  /// Valid bytes homed on `node`. O(1): served from the usage counters.
-  std::uint64_t node_bytes(net::NodeId node) const {
-    auto it = node_valid_.find(node);
-    return it != node_valid_.end() ? it->second : 0;
-  }
 
   /// Mis-prefetch accounting for one prefetch round: of the chunks in
   /// `keys`, how many bytes are still prefetched-and-never-referenced.
@@ -153,17 +138,13 @@ class GlobalCache {
     if (round_robin_only_ || hint == kAutoHome) return home_node(key);
     return hint;
   }
-  /// Evict the node's LRU clean chunks until it fits the per-node capacity.
-  void enforce_capacity(net::NodeId node);
   /// Book a valid-byte delta for a chunk into the usage counters.
   void credit_valid(const ChunkMeta& m, std::uint64_t bytes) {
     total_valid_ += bytes;
-    node_valid_[m.home] += bytes;
     owner_valid_[m.owner] += bytes;
   }
   void debit_valid(const ChunkMeta& m, std::uint64_t bytes) {
     total_valid_ -= bytes;
-    node_valid_[m.home] -= bytes;
     owner_valid_[m.owner] -= bytes;
   }
   /// A chunk's dirty set just became empty: drop it from the per-file index.
@@ -179,14 +160,11 @@ class GlobalCache {
   std::vector<net::NodeId> home_nodes_;
   CacheParams params_;
   bool round_robin_only_ = false;
-  std::uint64_t capacity_evictions_ = 0;
   std::unordered_map<ChunkKey, ChunkMeta, ChunkKeyHash> chunks_;
   // Scale indexes, kept consistent with chunks_ on every mutation. At tens
   // of thousands of cached chunks the former full-table scans behind
-  // dirty_segments / owner_bytes / node_bytes / total_valid_bytes (the
-  // latter two sit on every capacity-bounded insert) dominated run time.
+  // dirty_segments / owner_bytes / total_valid_bytes dominated run time.
   std::unordered_map<pfs::FileId, std::set<std::uint64_t>> dirty_chunks_;
-  std::unordered_map<net::NodeId, std::uint64_t> node_valid_;
   std::unordered_map<std::uint64_t, std::uint64_t> owner_valid_;
   std::uint64_t total_valid_ = 0;
   /// transfer()'s bytes per home node, ascending by node; kept across calls.

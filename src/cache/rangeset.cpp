@@ -142,19 +142,4 @@ bool RangeSet::intersects(std::uint64_t begin, std::uint64_t end) const {
   return i < ranges_.size() && ranges_[i].begin < end;
 }
 
-std::vector<ByteRange> RangeSet::gaps_within(std::uint64_t begin, std::uint64_t end) const {
-  std::vector<ByteRange> gaps;
-  if (begin >= end) return gaps;
-  std::uint64_t cursor = begin;
-  std::size_t i = upper_bound_begin(begin);
-  if (i > 0 && ranges_[i - 1].end > cursor)
-    cursor = std::min(ranges_[i - 1].end, end);
-  for (; i < ranges_.size() && ranges_[i].begin < end; ++i) {
-    if (ranges_[i].begin > cursor) gaps.push_back(ByteRange{cursor, ranges_[i].begin});
-    cursor = std::max(cursor, std::min(ranges_[i].end, end));
-  }
-  if (cursor < end) gaps.push_back(ByteRange{cursor, end});
-  return gaps;
-}
-
 }  // namespace dpar::cache

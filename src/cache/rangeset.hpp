@@ -51,9 +51,6 @@ class RangeSet {
   /// True when [begin, end) overlaps any range.
   bool intersects(std::uint64_t begin, std::uint64_t end) const;
 
-  /// Sub-ranges of [begin, end) NOT covered by the set (the holes).
-  std::vector<ByteRange> gaps_within(std::uint64_t begin, std::uint64_t end) const;
-
   /// O(1): maintained incrementally by add/remove.
   std::uint64_t total_bytes() const { return total_; }
   bool empty() const { return ranges_.empty(); }

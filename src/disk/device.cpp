@@ -14,7 +14,6 @@ DiskDevice::DiskDevice(sim::Engine& eng, DiskParams params,
 
 void DiskDevice::submit(Request r) {
   r.arrival = eng_.now();
-  const bool was_empty = sched_->pending() == 0;
   sched_->enqueue(std::move(r), eng_.now());
   if (busy_) return;
   // A new arrival interrupts any anticipation wait so the scheduler can
@@ -23,43 +22,7 @@ void DiskDevice::submit(Request r) {
     eng_.cancel(wait_event_);
     wait_event_ = {};
   }
-  const auto& p = model_.params();
-  if (plugged_) {
-    // Unplug early when a burst has accumulated.
-    if (sched_->pending() >= p.plug_threshold) {
-      eng_.cancel(plug_event_);
-      plug_event_ = {};
-      plugged_ = false;
-      poll();
-    }
-    return;
-  }
-  if (p.plug_delay > 0 && was_empty) {
-    // Idle-to-busy edge: plug briefly so the rest of the burst can queue and
-    // be sorted together.
-    plugged_ = true;
-    plug_event_ = eng_.after(p.plug_delay, [this] {
-      plugged_ = false;
-      plug_event_ = {};
-      poll();
-    });
-    return;
-  }
   poll();
-}
-
-void DiskDevice::submit_batch(std::vector<Request>& batch) {
-  // While the device is idle (or plugged) each submit may change dispatch
-  // state, so requests go through the scalar path one by one. Once busy_, a
-  // submit reduces to arrival-stamp + enqueue (submit() returns before any
-  // plug/poll logic) — so the whole tail can be handed to the scheduler in
-  // one enqueue_batch call with identical semantics.
-  std::size_t i = 0;
-  for (; i < batch.size() && !busy_; ++i) submit(std::move(batch[i]));
-  if (i == batch.size()) return;
-  const sim::Time now = eng_.now();
-  for (std::size_t j = i; j < batch.size(); ++j) batch[j].arrival = now;
-  sched_->enqueue_batch(batch.data() + i, batch.size() - i, now);
 }
 
 void DiskDevice::poll() {

@@ -22,14 +22,6 @@ class BlockDevice {
  public:
   virtual ~BlockDevice() = default;
   virtual void submit(Request r) = 0;
-  /// Submit a whole decomposed list-I/O batch. Semantically identical to
-  /// calling submit() on each request in order (completion order and timing
-  /// are unchanged); devices may override to hand the scheduler the bulk of
-  /// the batch in one call instead of N queue round-trips. The requests are
-  /// moved out; the caller keeps (and reuses) the vector.
-  virtual void submit_batch(std::vector<Request>& batch) {
-    for (Request& r : batch) submit(std::move(r));
-  }
   virtual std::uint64_t capacity_sectors() const = 0;
   /// Arm fault injection for this device. `owner` identifies the data server
   /// the device belongs to (used to match per-server bad-sector ranges). A
@@ -40,7 +32,7 @@ class BlockDevice {
   }
   /// The device's dispatch trace (the first member's, for RAID).
   virtual BlkTrace& trace() = 0;
-  /// Keep the full dispatch event list on every member disk.
+  /// Keep the full dispatch event list of the trace that trace() returns.
   virtual void set_keep_trace_events(bool keep) = 0;
 };
 
@@ -49,7 +41,6 @@ class DiskDevice final : public BlockDevice {
   DiskDevice(sim::Engine& eng, DiskParams params, std::unique_ptr<IoScheduler> sched);
 
   void submit(Request r) override;
-  void submit_batch(std::vector<Request>& batch) override;
   std::uint64_t capacity_sectors() const override { return model_.params().capacity_sectors(); }
   void set_fault_injector(fault::FaultInjector* inj, std::uint32_t owner) override {
     injector_ = inj;
@@ -82,8 +73,6 @@ class DiskDevice final : public BlockDevice {
   fault::FaultInjector* injector_ = nullptr;
   std::uint32_t owner_ = 0;
   bool busy_ = false;
-  bool plugged_ = false;
-  sim::EventId plug_event_{};
   sim::EventId wait_event_{};
   sim::Time busy_time_ = 0;
   std::uint64_t served_ = 0;
@@ -105,10 +94,9 @@ class Raid0Device final : public BlockDevice {
     d1_.set_fault_injector(inj, owner);
   }
   BlkTrace& trace() override { return d0_.trace(); }
-  void set_keep_trace_events(bool keep) override {
-    d0_.set_keep_trace_events(keep);
-    d1_.set_keep_trace_events(keep);
-  }
+  /// Only member 0's list is ever read (trace() returns it), so member 1
+  /// never keeps one.
+  void set_keep_trace_events(bool keep) override { d0_.set_keep_trace_events(keep); }
 
   DiskDevice& member(int i) { return i == 0 ? d0_ : d1_; }
 

@@ -29,14 +29,6 @@ struct DiskParams {
   /// skip-over window of the drive).
   std::uint64_t near_seq_sectors = 64;
   sim::Time command_overhead = sim::usec(60);   ///< per-command controller cost
-  /// Block-layer queue plugging: when the device goes from idle to busy,
-  /// dispatching is briefly delayed so a burst of arrivals can accumulate
-  /// and be sorted together. Off by default — Linux plugging is per-task and
-  /// does not batch across submitters the way a device-level plug would;
-  /// the ablation bench measures what such batching would buy.
-  sim::Time plug_delay = 0;
-  /// Unplug early once this many requests are queued.
-  std::size_t plug_threshold = 32;
 
   std::uint64_t capacity_sectors() const { return capacity_bytes / kSectorBytes; }
   double bytes_per_sec() const { return sustained_mb_s * 1e6; }

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "disk/scheduler.hpp"
 #include "disk/sorted_queue.hpp"
@@ -55,14 +54,6 @@ class DeadlineScheduler final : public IoScheduler {
     file_expiry(slot, is_write, now);
   }
 
-  void enqueue_batch(Request* batch, std::size_t n, sim::Time now) override {
-    slots_tmp_.resize(n);
-    // FIFO order is arrival order, which insert_batch preserves in slots_tmp_.
-    sorted_.insert_batch(batch, n, slots_tmp_.data());
-    for (std::size_t i = 0; i < n; ++i)
-      file_expiry(slots_tmp_[i], sorted_.slot_request(slots_tmp_[i]).is_write, now);
-  }
-
   Decision next(std::uint64_t head_lba, sim::Time now) override {
     if (sorted_.empty()) return Decision::idle();
     for (auto* fifo : {&read_fifo_, &write_fifo_}) {
@@ -104,7 +95,6 @@ class DeadlineScheduler final : public IoScheduler {
   SortedRunQueue sorted_;
   sim::SlotFifo<FifoEntry> read_fifo_;
   sim::SlotFifo<FifoEntry> write_fifo_;
-  std::vector<std::uint32_t> slots_tmp_;
 };
 
 /// One-directional elevator: serve ascending from the head, wrap to the
@@ -112,10 +102,6 @@ class DeadlineScheduler final : public IoScheduler {
 class CscanScheduler final : public IoScheduler {
  public:
   void enqueue(Request r, sim::Time) override { sorted_.insert(std::move(r)); }
-
-  void enqueue_batch(Request* batch, std::size_t n, sim::Time) override {
-    sorted_.insert_batch(batch, n);
-  }
 
   Decision next(std::uint64_t head_lba, sim::Time) override {
     if (sorted_.empty()) return Decision::idle();

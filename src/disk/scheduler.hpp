@@ -41,13 +41,6 @@ class IoScheduler {
 
   virtual void enqueue(Request r, sim::Time now) = 0;
 
-  /// Enqueue a decomposed batch in order. Equivalent to calling enqueue() on
-  /// each request; flat implementations override to insert the whole run with
-  /// one sort/merge instead of n queue walks.
-  virtual void enqueue_batch(Request* batch, std::size_t n, sim::Time now) {
-    for (std::size_t i = 0; i < n; ++i) enqueue(std::move(batch[i]), now);
-  }
-
   /// Choose the next action. Called whenever the disk becomes free, a new
   /// request arrives while it is free, or a previously returned wait deadline
   /// expires.

@@ -68,17 +68,6 @@ class SortedRunQueue {
     return slot;
   }
 
-  /// Insert a whole decomposed batch; the n appended keys share the one lazy
-  /// merge. When `slots_out` is non-null it receives the n slot ids in batch
-  /// order (the deadline scheduler files them into its expiry FIFOs).
-  void insert_batch(Request* batch, std::size_t n, std::uint32_t* slots_out = nullptr) {
-    keys_.reserve(keys_.size() + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t slot = insert(std::move(batch[i]));
-      if (slots_out != nullptr) slots_out[i] = slot;
-    }
-  }
-
   /// Index of the request the elevator serves from `head_lba`: first live key
   /// at or above the head, wrapping to the lowest sector when none (C-SCAN).
   /// Must not be called on an empty queue.
@@ -140,8 +129,6 @@ class SortedRunQueue {
     }
     return npos;
   }
-
-  const Request& slot_request(std::uint32_t slot) const { return slab_.at(slot); }
 
   /// Bumped every time a slot is released; lets an expiry FIFO detect that
   /// the request it points at was already dispatched (or the slot reused).

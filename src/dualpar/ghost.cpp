@@ -79,10 +79,6 @@ void GhostRunner::step() {
     if (std::holds_alternative<mpi::OpBarrier>(op) ||
         std::holds_alternative<mpi::OpAllreduce>(op))
       continue;  // ghosts skip syncs
-    if (std::holds_alternative<mpi::OpSend>(op) ||
-        std::holds_alternative<mpi::OpRecv>(op))
-      continue;  // ghosts cannot communicate; predictions past data exchanges
-                 // may be wrong, which mis-prefetch detection covers (§IV-C)
     // OpEnd
     pause();
     return;

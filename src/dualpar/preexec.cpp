@@ -148,10 +148,8 @@ void PreexecDriver::pump(mpi::Process& proc, PState& st) {
       continue;
     }
     if (std::holds_alternative<mpi::OpBarrier>(op) ||
-        std::holds_alternative<mpi::OpAllreduce>(op) ||
-        std::holds_alternative<mpi::OpSend>(op) ||
-        std::holds_alternative<mpi::OpRecv>(op))
-      continue;  // the prefetcher cannot synchronize or communicate
+        std::holds_alternative<mpi::OpAllreduce>(op))
+      continue;  // the prefetcher cannot synchronize
     st.ghost_end = true;
   }
   // Stalled (window full or program over) with a parked reader whose data is

@@ -56,6 +56,8 @@ struct Counters {
   std::uint64_t cache_invalidated_bytes = 0;
   std::uint64_t emc_degraded_entries = 0;
   std::uint64_t emc_degraded_exits = 0;
+
+  friend bool operator==(const Counters&, const Counters&) = default;
 };
 
 class FaultInjector {

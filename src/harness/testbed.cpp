@@ -30,7 +30,10 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
   // Malformed fault plans are rejected loudly even when they could not fire.
   cfg_.fault.validate();
   // Node layout: data servers on [0, S), metadata server on S, compute nodes
-  // on [S+1, S+1+C).
+  // on [S+1, S+1+C). The metadata node sends only the repair manager's
+  // control messages, but it keeps its slot: NIC indices seed the
+  // per-sender jitter streams, so moving the compute nodes would change
+  // every output.
   const std::uint32_t total_nodes = cfg_.data_servers + 1 + cfg_.compute_nodes;
   net_ = std::make_unique<net::Network>(eng_, total_nodes, cfg_.net);
 
@@ -51,8 +54,7 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
   }
 
   fs_ = std::make_unique<pfs::FileSystem>(
-      eng_, *net_, /*metadata_node=*/cfg_.data_servers, raw_servers,
-      pfs::StripeLayout{cfg_.stripe_unit, cfg_.data_servers});
+      eng_, *net_, raw_servers, pfs::StripeLayout{cfg_.stripe_unit, cfg_.data_servers});
   clients_ = std::make_unique<mpiio::ClientPool>(*fs_);
   cache::CacheParams cp = cfg_.cache;
   cp.chunk_bytes = cfg_.stripe_unit;  // chunk == stripe unit (§IV-D)
@@ -133,8 +135,7 @@ pfs::FileId Testbed::create_file(const std::string& name, std::uint64_t size) {
 mpi::Job& Testbed::add_job(const std::string& name, std::uint32_t nprocs,
                            mpi::IoDriver& driver, const mpi::Job::ProgramFactory& factory,
                            dualpar::Policy policy, sim::Time start_at) {
-  jobs_.push_back(
-      std::make_unique<mpi::Job>(eng_, next_job_id_++, name, driver, net_.get()));
+  jobs_.push_back(std::make_unique<mpi::Job>(eng_, next_job_id_++, name, driver));
   mpi::Job& job = *jobs_.back();
   job.spawn(nprocs, compute_nodes(), factory, next_gid_);
   next_gid_ += nprocs;

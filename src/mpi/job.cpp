@@ -94,25 +94,6 @@ void Process::handle(OpAllreduce op) {
   }, op.bytes);
 }
 
-void Process::handle(OpSend op) {
-  state_ = ProcState::kBlockedComm;
-  const sim::Time t0 = eng_.now();
-  job_.comm_send(*this, op.dest, op.bytes, op.tag, [this, t0] {
-    // The paper's probes fold communication into "computation time" (§IV-B).
-    compute_time_ += eng_.now() - t0;
-    advance();
-  });
-}
-
-void Process::handle(OpRecv op) {
-  state_ = ProcState::kBlockedComm;
-  const sim::Time t0 = eng_.now();
-  job_.comm_recv(*this, op.src, op.tag, [this, t0] {
-    compute_time_ += eng_.now() - t0;
-    advance();
-  });
-}
-
 void Process::handle(OpEnd) {
   state_ = ProcState::kFinished;
   finish_time_ = eng_.now();
@@ -123,9 +104,8 @@ void Process::handle(OpEnd) {
   job_.driver().on_process_end(*this);
 }
 
-Job::Job(sim::Engine& eng, std::uint32_t id, std::string name, IoDriver& driver,
-         net::Network* net)
-    : eng_(eng), id_(id), name_(std::move(name)), driver_(driver), net_(net) {}
+Job::Job(sim::Engine& eng, std::uint32_t id, std::string name, IoDriver& driver)
+    : eng_(eng), id_(id), name_(std::move(name)), driver_(driver) {}
 
 void Job::spawn(std::uint32_t nprocs, const std::vector<cluster::ComputeNode*>& nodes,
                 const ProgramFactory& factory, std::uint32_t first_global_id) {
@@ -202,7 +182,6 @@ bool Job::all_parked() const {
     switch (p->state()) {
       case ProcState::kSuspended:
       case ProcState::kAtBarrier:
-      case ProcState::kBlockedComm:
       case ProcState::kFinished:
         continue;
       default:
@@ -210,55 +189,6 @@ bool Job::all_parked() const {
     }
   }
   return nprocs() > 0;
-}
-
-void Job::comm_transfer(std::uint32_t src_rank, std::uint32_t dst_rank,
-                        std::uint64_t bytes, sim::UniqueFunction done) {
-  if (net_ != nullptr) {
-    net_->send(procs_[src_rank]->node().id(), procs_[dst_rank]->node().id(), bytes,
-               std::move(done));
-    return;
-  }
-  // No fabric attached: latency + bandwidth formula.
-  eng_.after(sim::usec(50) + sim::transfer_time(bytes, 125e6), std::move(done));
-}
-
-void Job::comm_send(Process& proc, std::uint32_t dest, std::uint64_t bytes, int tag,
-                    sim::UniqueFunction resume) {
-  if (dest >= nprocs()) throw std::invalid_argument("comm_send: bad destination rank");
-  const CommKey key{proc.rank(), dest, tag};
-  auto rit = pending_recvs_.find(key);
-  if (rit != pending_recvs_.end() && !rit->second.empty()) {
-    auto recv_resume = std::move(rit->second.front());
-    rit->second.pop_front();
-    comm_transfer(proc.rank(), dest, bytes,
-                  [send_resume = std::move(resume),
-                   recv_resume = std::move(recv_resume)]() mutable {
-                    send_resume();
-                    recv_resume();
-                  });
-    return;
-  }
-  pending_sends_[key].push_back(PendingSend{bytes, std::move(resume)});
-}
-
-void Job::comm_recv(Process& proc, std::uint32_t src, int tag,
-                    sim::UniqueFunction resume) {
-  if (src >= nprocs()) throw std::invalid_argument("comm_recv: bad source rank");
-  const CommKey key{src, proc.rank(), tag};
-  auto sit = pending_sends_.find(key);
-  if (sit != pending_sends_.end() && !sit->second.empty()) {
-    PendingSend send = std::move(sit->second.front());
-    sit->second.pop_front();
-    comm_transfer(src, proc.rank(), send.bytes,
-                  [send_resume = std::move(send.resume),
-                   recv_resume = std::move(resume)]() mutable {
-                    send_resume();
-                    recv_resume();
-                  });
-    return;
-  }
-  pending_recvs_[key].push_back(std::move(resume));
 }
 
 void Job::process_finished(Process& proc) {

@@ -4,16 +4,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/node.hpp"
 #include "mpi/program.hpp"
-#include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "sim/func.hpp"
 #include "sim/stats.hpp"
@@ -51,7 +48,6 @@ enum class ProcState {
   kBlockedIo,    ///< inside an I/O call, driver working
   kSuspended,    ///< parked by DualPar's PEC awaiting a data-driven cycle
   kAtBarrier,
-  kBlockedComm,  ///< in a blocking send/recv awaiting its match
   kFinished,
 };
 
@@ -101,8 +97,6 @@ class Process {
   void handle(OpIo op);
   void handle(OpBarrier op);
   void handle(OpAllreduce op);
-  void handle(OpSend op);
-  void handle(OpRecv op);
   void handle(OpEnd op);
   /// Completion of call_: accounting, segment storage back to ctx_, next op.
   void finish_io(sim::Time t0);
@@ -135,10 +129,7 @@ class Job {
  public:
   using ProgramFactory = std::function<std::unique_ptr<Program>(std::uint32_t rank)>;
 
-  /// `net` carries point-to-point messages; without one, transfers are
-  /// approximated by a latency/bandwidth formula (unit-test convenience).
-  Job(sim::Engine& eng, std::uint32_t id, std::string name, IoDriver& driver,
-      net::Network* net = nullptr);
+  Job(sim::Engine& eng, std::uint32_t id, std::string name, IoDriver& driver);
 
   /// Create `nprocs` rank processes, distributed round-robin over `nodes`.
   /// `first_global_id` spaces process ids so concurrent jobs don't collide.
@@ -173,13 +164,6 @@ class Job {
   void barrier_enter(Process& proc, sim::UniqueFunction resume,
                      std::uint64_t payload_bytes = 0);
 
-  /// Rendezvous point-to-point matching: both sides resume once the payload
-  /// has crossed the network.
-  void comm_send(Process& proc, std::uint32_t dest, std::uint64_t bytes, int tag,
-                 sim::UniqueFunction resume);
-  void comm_recv(Process& proc, std::uint32_t src, int tag,
-                 sim::UniqueFunction resume);
-
   /// Count of processes in any of the given parked states; the DualPar cycle
   /// coordinator triggers when parked == nprocs.
   bool all_parked() const;
@@ -190,14 +174,10 @@ class Job {
  private:
   void release_barrier_if_ready();
 
-  void comm_transfer(std::uint32_t src_rank, std::uint32_t dst_rank,
-                     std::uint64_t bytes, sim::UniqueFunction done);
-
   sim::Engine& eng_;
   std::uint32_t id_;
   std::string name_;
   IoDriver& driver_;
-  net::Network* net_;
   std::vector<std::unique_ptr<Process>> procs_;
   std::uint32_t finished_ = 0;
   sim::Time start_time_ = -1;
@@ -211,19 +191,6 @@ class Job {
   };
   std::vector<BarrierWaiter> barrier_waiters_;
   std::uint64_t barrier_payload_ = 0;
-
-  // Point-to-point rendezvous queues, keyed by (src, dst, tag).
-  struct CommKey {
-    std::uint32_t src, dst;
-    int tag;
-    friend auto operator<=>(const CommKey&, const CommKey&) = default;
-  };
-  struct PendingSend {
-    std::uint64_t bytes;
-    sim::UniqueFunction resume;
-  };
-  std::map<CommKey, std::deque<PendingSend>> pending_sends_;
-  std::map<CommKey, std::deque<sim::UniqueFunction>> pending_recvs_;
 };
 
 }  // namespace dpar::mpi

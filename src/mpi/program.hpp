@@ -49,22 +49,9 @@ struct OpBarrier {};
 struct OpAllreduce {
   std::uint64_t bytes = 0;
 };
-/// Blocking (rendezvous) point-to-point send to `dest`.
-struct OpSend {
-  std::uint32_t dest = 0;
-  std::uint64_t bytes = 0;
-  int tag = 0;
-};
-/// Blocking receive from `src` (no wildcard sources: workloads are
-/// deterministic).
-struct OpRecv {
-  std::uint32_t src = 0;
-  int tag = 0;
-};
 struct OpEnd {};
 
-using Op =
-    std::variant<OpCompute, OpIo, OpBarrier, OpAllreduce, OpSend, OpRecv, OpEnd>;
+using Op = std::variant<OpCompute, OpIo, OpBarrier, OpAllreduce, OpEnd>;
 
 /// Execution context handed to Program::next.
 struct ProgramContext {

@@ -10,13 +10,9 @@
 
 namespace dpar::pfs {
 
-FileSystem::FileSystem(sim::Engine& eng, net::Network& net, net::NodeId metadata_node,
+FileSystem::FileSystem(sim::Engine& eng, net::Network& net,
                        std::vector<DataServer*> servers, StripeLayout layout)
-    : eng_(eng),
-      net_(net),
-      metadata_node_(metadata_node),
-      servers_(std::move(servers)),
-      layout_(layout) {
+    : eng_(eng), net_(net), servers_(std::move(servers)), layout_(layout) {
   if (servers_.empty()) throw std::invalid_argument("FileSystem: no data servers");
   layout_.num_servers = static_cast<std::uint32_t>(servers_.size());
 }
@@ -40,16 +36,6 @@ FileId FileSystem::create(const std::string& name, std::uint64_t size) {
     servers_[s]->allocate(id, share);
   }
   return id;
-}
-
-void Client::open(FileId file, sim::UniqueFunction done) {
-  (void)file;
-  // Request to the metadata server and reply, both small messages.
-  auto& net = fs_.network();
-  const auto mds = fs_.metadata_node();
-  net.send(node_, mds, 128, [this, &net, mds, done = std::move(done)]() mutable {
-    net.send(mds, node_, 256, std::move(done));
-  });
 }
 
 namespace {

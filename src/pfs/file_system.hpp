@@ -35,8 +35,8 @@ struct FileInfo {
 /// Metadata + data-server ensemble. One instance per simulated cluster.
 class FileSystem {
  public:
-  FileSystem(sim::Engine& eng, net::Network& net, net::NodeId metadata_node,
-             std::vector<DataServer*> servers, StripeLayout layout);
+  FileSystem(sim::Engine& eng, net::Network& net, std::vector<DataServer*> servers,
+             StripeLayout layout);
 
   /// Create a file of `size` bytes: allocates extents on every data server.
   FileId create(const std::string& name, std::uint64_t size);
@@ -45,7 +45,6 @@ class FileSystem {
   const StripeLayout& layout() const { return layout_; }
   std::uint32_t num_servers() const { return static_cast<std::uint32_t>(servers_.size()); }
   DataServer& server(std::uint32_t i) { return *servers_[i]; }
-  net::NodeId metadata_node() const { return metadata_node_; }
   net::Network& network() { return net_; }
   sim::Engine& engine() { return eng_; }
 
@@ -65,7 +64,6 @@ class FileSystem {
  private:
   sim::Engine& eng_;
   net::Network& net_;
-  net::NodeId metadata_node_;
   std::vector<DataServer*> servers_;
   StripeLayout layout_;
   std::unordered_map<FileId, FileInfo> files_;
@@ -82,9 +80,6 @@ using IoDoneFn = sim::UniqueFn<void(std::uint64_t, fault::Status)>;
 class Client {
  public:
   Client(FileSystem& fs, net::NodeId node) : fs_(fs), node_(node) {}
-
-  /// Metadata round trip (open/stat).
-  void open(FileId file, sim::UniqueFunction done);
 
   /// List I/O: read or write `segments` of `file`. Segments are decomposed
   /// into per-server runs (order-preserving, contiguity-coalescing) and one

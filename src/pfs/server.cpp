@@ -120,32 +120,31 @@ void DataServer::serve_(std::uint32_t slot) {
     return;
   }
   // The +1 keeps the record alive through the loop even if every run is a
-  // cache hit (the matching complete_run_ is below, after submit_batch);
+  // cache hit (the matching complete_run_ is below, after the last submit);
   // nothing between here and there fires engine events, so completion order
   // is unchanged.
   ctx.outstanding = ctx.req.runs.size() + 1;
-  // Decompose the whole list-I/O request first, then hand the disk every
-  // miss in one submit_batch() call — the scheduler sorts the batch as a
-  // unit instead of paying a queue walk per run. Runs that are exactly
+  // Each miss goes to the disk as its own request. Runs that are exactly
   // adjacent on this server's extent (a striped client segment lands here
   // as a train of locally-contiguous chunks) coalesce into one disk
   // request, so the train costs one completion event per (server, request)
-  // span instead of one per chunk.
-  // Byte span and merged-run count of the batch's trailing request, for
-  // the coalesced cache insert and fan-in.
+  // span instead of one per chunk. The trailing miss is held back while it
+  // can still grow; its byte span and merged-run count feed the coalesced
+  // cache insert and fan-in.
+  disk::Request tail;
   std::uint64_t tail_offset = 0, tail_end = 0, tail_runs = 0;
-  auto seal_tail = [this, slot, file, &tail_offset, &tail_end, &tail_runs] {
-    if (batch_.empty() || tail_runs == 0) return;
+  auto submit_tail = [this, slot, file, &tail, &tail_offset, &tail_end, &tail_runs] {
+    if (tail_runs == 0) return;
     const std::uint64_t off = tail_offset, len = tail_end - tail_offset,
                         n = tail_runs;
-    batch_.back().done =
-        sim::inline_fn([this, slot, file, off, len, n](fault::Status st) {
-          // A failed span caches nothing: the sectors never produced data.
-          if (cache_.enabled() && fault::ok(st)) cache_.insert(file, off, len);
-          // One decrement per coalesced run keeps the fan-in count identical
-          // to the uncoalesced layout.
-          for (std::uint64_t i = 0; i < n; ++i) complete_run_(slot, st);
-        });
+    tail.done = sim::inline_fn([this, slot, file, off, len, n](fault::Status st) {
+      // A failed span caches nothing: the sectors never produced data.
+      if (cache_.enabled() && fault::ok(st)) cache_.insert(file, off, len);
+      // One decrement per coalesced run keeps the fan-in count identical
+      // to the uncoalesced layout.
+      for (std::uint64_t i = 0; i < n; ++i) complete_run_(slot, st);
+    });
+    dev_->submit(std::move(tail));
     tail_runs = 0;
   };
   for (const ServerRun& run : ctx.req.runs) {
@@ -173,29 +172,25 @@ void DataServer::serve_(std::uint32_t slot) {
     const std::uint64_t sectors = disk::bytes_to_sectors(length);
     if (lba + sectors > extent.base_lba + extent.sectors + 8)
       throw std::runtime_error("DataServer::handle: run beyond extent");
-    if (tail_runs > 0 && batch_.back().lba + batch_.back().sectors == lba &&
-        tail_end == run.local_offset) {
+    if (tail_runs > 0 && tail.lba + tail.sectors == lba && tail_end == run.local_offset) {
       // Contiguous with the previous miss: grow that disk request in place.
-      batch_.back().sectors += static_cast<std::uint32_t>(sectors);
+      tail.sectors += static_cast<std::uint32_t>(sectors);
       tail_end = run.local_offset + length;
       ++tail_runs;
       continue;
     }
-    seal_tail();
-    disk::Request dr;
-    dr.id = next_req_id_++;
-    dr.lba = lba;
-    dr.sectors = static_cast<std::uint32_t>(sectors);
-    dr.is_write = is_write;
-    dr.context = params_.single_disk_context ? 0 : ctx.req.context;
-    batch_.push_back(std::move(dr));
+    submit_tail();
+    tail = disk::Request{};
+    tail.id = next_req_id_++;
+    tail.lba = lba;
+    tail.sectors = static_cast<std::uint32_t>(sectors);
+    tail.is_write = is_write;
+    tail.context = params_.single_disk_context ? 0 : ctx.req.context;
     tail_offset = run.local_offset;
     tail_end = run.local_offset + length;
     tail_runs = 1;
   }
-  seal_tail();
-  if (!batch_.empty()) dev_->submit_batch(batch_);
-  sim::clear_bounded(batch_);
+  submit_tail();
   complete_run_(slot);
 }
 

@@ -132,8 +132,6 @@ class DataServer {
   ServerCache cache_;
   sim::FifoResource service_;
   sim::Slab<IoCtx> ctxs_;
-  /// serve_()'s disk batch, kept across requests.
-  std::vector<disk::Request> batch_;
   fault::FaultInjector* injector_ = nullptr;
   bool down_ = false;
   /// Bumped on every crash; requests remember the epoch they were accepted in

@@ -52,6 +52,8 @@ struct Counters {
   std::uint64_t repair_bytes_copied = 0;
   std::uint64_t repair_blocked_permanent = 0;  ///< deficit on a fail-stop server
   std::uint64_t chunks_unrepairable = 0; ///< attempt cap hit (e.g. bad sectors)
+
+  friend bool operator==(const Counters&, const Counters&) = default;
 };
 
 /// End-of-run durability summary (tracker-derived, on top of the ledger).
@@ -63,6 +65,8 @@ struct DurabilityReport {
   std::uint64_t invalid_copies_now = 0;
   std::uint64_t lost_chunks = 0;        ///< no valid recoverable copy left
   double under_replicated_chunk_seconds = 0.0;
+
+  friend bool operator==(const DurabilityReport&, const DurabilityReport&) = default;
 };
 
 class RepairManager {

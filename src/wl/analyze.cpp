@@ -28,14 +28,6 @@ AccessPattern analyze(mpi::Program& prog, std::uint32_t rank, std::uint32_t npro
       ++p.barriers;
       continue;
     }
-    if (std::holds_alternative<mpi::OpSend>(op)) {
-      ++p.sends;
-      continue;
-    }
-    if (std::holds_alternative<mpi::OpRecv>(op)) {
-      ++p.recvs;
-      continue;
-    }
     auto& call = std::get<mpi::OpIo>(op).call;
     ++p.calls;
     for (const auto& s : call.segments) {
@@ -71,7 +63,7 @@ std::string describe(const AccessPattern& p) {
       "  calls %llu, segments %llu (%.0f B mean, %llu..%llu)\n"
       "  read %.2f MB, write %.2f MB, compute %.3f s\n"
       "  sequentiality %.0f%%, dominant stride %llu B\n"
-      "  barriers %llu, sends %llu, recvs %llu\n",
+      "  barriers %llu\n",
       static_cast<unsigned long long>(p.calls),
       static_cast<unsigned long long>(p.segments), p.mean_segment(),
       static_cast<unsigned long long>(p.min_segment),
@@ -79,9 +71,7 @@ std::string describe(const AccessPattern& p) {
       static_cast<double>(p.read_bytes) / 1e6,
       static_cast<double>(p.write_bytes) / 1e6, sim::to_seconds(p.compute),
       p.sequentiality() * 100.0, static_cast<unsigned long long>(p.dominant_stride),
-      static_cast<unsigned long long>(p.barriers),
-      static_cast<unsigned long long>(p.sends),
-      static_cast<unsigned long long>(p.recvs));
+      static_cast<unsigned long long>(p.barriers));
   return buf;
 }
 

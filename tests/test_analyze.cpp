@@ -45,25 +45,6 @@ TEST(Analyze, BtioMixesBarriersAndWrites) {
   EXPECT_EQ(p.min_segment, 10240u / 16);
 }
 
-TEST(Analyze, MasterWorkerCountsMessages) {
-  MasterWorkerConfig c;
-  c.database_size = 8 << 20;
-  c.queries = 6;
-  c.fragments = 2;
-  c.max_size = 10'000;
-  auto master = make_master_worker(c);
-  const AccessPattern pm = analyze(*master, 0, 4);
-  EXPECT_EQ(pm.sends, 6u);
-  EXPECT_EQ(pm.recvs, 6u);
-  EXPECT_GT(pm.write_bytes, 0u);
-  EXPECT_EQ(pm.read_bytes, 0u);
-  auto worker = make_master_worker(c);
-  const AccessPattern pw = analyze(*worker, 1, 4);
-  EXPECT_EQ(pw.sends, pw.recvs);
-  EXPECT_GT(pw.read_bytes, 0u);
-  EXPECT_EQ(pw.write_bytes, 0u);
-}
-
 TEST(Analyze, EmptyProgramIsAllZeros) {
   DemoConfig c;
   c.file_size = 0;

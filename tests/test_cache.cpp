@@ -64,16 +64,6 @@ TEST(RangeSet, RemoveAcrossMultipleRanges) {
   EXPECT_EQ(rs.ranges(), (std::vector<ByteRange>{{0, 5}, {45, 50}}));
 }
 
-TEST(RangeSet, GapsWithin) {
-  RangeSet rs;
-  rs.add(10, 20);
-  rs.add(30, 40);
-  const auto gaps = rs.gaps_within(0, 50);
-  EXPECT_EQ(gaps, (std::vector<ByteRange>{{0, 10}, {20, 30}, {40, 50}}));
-  EXPECT_TRUE(rs.gaps_within(12, 18).empty());
-  EXPECT_EQ(rs.gaps_within(15, 35), (std::vector<ByteRange>{{20, 30}}));
-}
-
 TEST(RangeSet, PropertyAddRemoveConsistency) {
   // Random adds/removes cross-checked against a bitmap model.
   sim::Rng rng(77);
@@ -118,23 +108,10 @@ TEST_F(CacheFixture, InsertThenCovers) {
   EXPECT_EQ(cache.chunk_count(), 2u);
 }
 
-TEST_F(CacheFixture, MissingComputesHoles) {
-  cache.insert(1, Segment{0, 64 * 1024}, 5, false);
-  cache.insert(1, Segment{128 * 1024, 64 * 1024}, 5, false);
-  const auto miss = cache.missing(1, Segment{0, 256 * 1024});
-  ASSERT_EQ(miss.size(), 2u);
-  EXPECT_EQ(miss[0], (Segment{64 * 1024, 64 * 1024}));
-  EXPECT_EQ(miss[1], (Segment{192 * 1024, 64 * 1024}));
-}
-
 TEST_F(CacheFixture, PartialChunkValidity) {
   cache.insert(1, Segment{100, 200}, 5, false);
   EXPECT_TRUE(cache.covers(1, Segment{100, 200}));
   EXPECT_FALSE(cache.covers(1, Segment{0, 100}));
-  const auto miss = cache.missing(1, Segment{0, 400});
-  ASSERT_EQ(miss.size(), 2u);
-  EXPECT_EQ(miss[0], (Segment{0, 100}));
-  EXPECT_EQ(miss[1], (Segment{300, 100}));
 }
 
 TEST_F(CacheFixture, WriteMarksDirtyAndReadYourWrites) {

@@ -1,5 +1,5 @@
-// Tests for MPI point-to-point messaging, the master/worker workload, the
-// server page cache with read-ahead, and trace replay.
+// Tests for synchronizing collectives, the server page cache with
+// read-ahead, and trace replay.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,8 +19,6 @@ using mpi::Op;
 using mpi::OpCompute;
 using mpi::OpEnd;
 using mpi::OpIo;
-using mpi::OpRecv;
-using mpi::OpSend;
 
 class ScriptProgram final : public mpi::Program {
  public:
@@ -46,101 +44,6 @@ harness::TestbedConfig small_config() {
   cfg.compute_nodes = 2;
   cfg.cores_per_node = 8;
   return cfg;
-}
-
-TEST(PointToPoint, SendRecvRendezvousCompletes) {
-  harness::Testbed tb(small_config());
-  auto& job = tb.add_job("p2p", 2, tb.vanilla(), [&](std::uint32_t rank) {
-    std::vector<Op> ops;
-    if (rank == 0) {
-      ops.push_back(OpSend{1, 1 << 20, /*tag=*/7});
-    } else {
-      ops.push_back(OpCompute{sim::msec(5)});  // late receiver
-      ops.push_back(OpRecv{0, 7});
-    }
-    return std::make_unique<ScriptProgram>(std::move(ops));
-  }, dualpar::Policy::kForcedNormal);
-  tb.run();
-  EXPECT_TRUE(job.finished());
-  // Sender blocked until the receiver arrived (rendezvous), then both paid
-  // the transfer: everyone finishes after 5 ms + transfer time.
-  EXPECT_GT(job.process(0).finish_time(), sim::msec(5));
-  // Communication time is folded into the compute probe (§IV-B measurement).
-  EXPECT_GT(job.process(0).compute_time(), sim::msec(5));
-}
-
-TEST(PointToPoint, MatchingTagsCompleteInOrder) {
-  harness::Testbed tb(small_config());
-  auto& job = tb.add_job("tags", 2, tb.vanilla(), [&](std::uint32_t rank) {
-    std::vector<Op> ops;
-    if (rank == 0) {
-      ops.push_back(OpSend{1, 1000, /*tag=*/2});
-      ops.push_back(OpSend{1, 2000, /*tag=*/1});
-    } else {
-      ops.push_back(OpRecv{0, 2});
-      ops.push_back(OpRecv{0, 1});
-    }
-    return std::make_unique<ScriptProgram>(std::move(ops));
-  }, dualpar::Policy::kForcedNormal);
-  tb.run();
-  EXPECT_TRUE(job.finished());
-}
-
-TEST(PointToPoint, MismatchedTagOrderDeadlocksLikeRealMpi) {
-  // Blocking (rendezvous) sends awaiting receives posted in the opposite tag
-  // order deadlock in real MPI; the testbed's guard must report it rather
-  // than hang or claim success. The daemons keep re-arming while the job
-  // lives, so it is the event cap that stops the run, and the message must
-  // say so.
-  harness::Testbed tb(small_config());
-  tb.add_job("deadlock", 2, tb.vanilla(), [&](std::uint32_t rank) {
-    std::vector<Op> ops;
-    if (rank == 0) {
-      ops.push_back(OpSend{1, 1000, /*tag=*/2});
-      ops.push_back(OpSend{1, 1000, /*tag=*/1});
-    } else {
-      ops.push_back(OpRecv{0, 1});  // awaits tag 1 while tag 2 is in flight
-      ops.push_back(OpRecv{0, 2});
-    }
-    return std::make_unique<ScriptProgram>(std::move(ops));
-  }, dualpar::Policy::kForcedNormal);
-  try {
-    tb.run(/*max_events=*/100'000);
-    FAIL() << "a deadlocked job must not report success";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("event cap of 100000 reached"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("at simulated time"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("1 of 1 jobs unfinished"), std::string::npos) << msg;
-    EXPECT_EQ(msg.find("drained"), std::string::npos) << msg;
-  }
-}
-
-TEST(PointToPoint, ManyPairsInParallel) {
-  harness::Testbed tb(small_config());
-  auto& job = tb.add_job("pairs", 8, tb.vanilla(), [&](std::uint32_t rank) {
-    std::vector<Op> ops;
-    if (rank % 2 == 0) {
-      ops.push_back(OpSend{rank + 1, 64 * 1024, 0});
-      ops.push_back(OpRecv{rank + 1, 1});
-    } else {
-      ops.push_back(OpRecv{rank - 1, 0});
-      ops.push_back(OpSend{rank - 1, 64 * 1024, 1});
-    }
-    return std::make_unique<ScriptProgram>(std::move(ops));
-  }, dualpar::Policy::kForcedNormal);
-  tb.run();
-  EXPECT_TRUE(job.finished());
-}
-
-TEST(PointToPoint, BadRankThrows) {
-  harness::Testbed tb(small_config());
-  tb.add_job("bad", 2, tb.vanilla(), [&](std::uint32_t rank) {
-    std::vector<Op> ops;
-    if (rank == 0) ops.push_back(OpSend{9, 100, 0});
-    return std::make_unique<ScriptProgram>(std::move(ops));
-  }, dualpar::Policy::kForcedNormal);
-  EXPECT_THROW(tb.run(), std::invalid_argument);
 }
 
 TEST(Allreduce, SynchronizesAndCostsMoreThanABarrier) {
@@ -184,60 +87,6 @@ TEST(Allreduce, BtioWithAllreduceStillRunsUnderDualPar) {
   EXPECT_TRUE(tb.cache().all_dirty_segments().empty());
   // The collective's wait time lands in the compute probe.
   EXPECT_GT(job.total_compute_time(), 0);
-}
-
-TEST(MasterWorker, AllQueriesProcessedUnderVanilla) {
-  harness::Testbed tb(small_config());
-  wl::MasterWorkerConfig c;
-  c.database_size = 16 << 20;
-  c.queries = 9;
-  c.fragments = 4;
-  c.max_size = 20'000;
-  c.database_file = tb.create_file("db", c.database_size);
-  c.result_file = tb.create_file("res", 16 << 20);
-  auto& job = tb.add_job("mw", 4, tb.vanilla(),
-                         [c](std::uint32_t) { return wl::make_master_worker(c); },
-                         dualpar::Policy::kForcedNormal);
-  tb.run();
-  EXPECT_TRUE(job.finished());
-  // Master wrote one result per query; workers read one slice per query.
-  std::uint64_t writes = job.process(0).bytes_written();
-  EXPECT_GT(writes, 9u * c.min_size);
-  std::uint64_t reads = 0;
-  for (std::uint32_t r = 1; r < 4; ++r) reads += job.process(r).bytes_read();
-  EXPECT_GT(reads, 9u * c.min_size);
-}
-
-TEST(MasterWorker, RunsUnderDualParWithoutDeadlock) {
-  // Workers suspend on read misses while the master blocks in recv: the
-  // comm-blocked master must count as parked so the cycle can proceed.
-  harness::Testbed tb(small_config());
-  wl::MasterWorkerConfig c;
-  c.database_size = 16 << 20;
-  c.queries = 12;
-  c.fragments = 4;
-  c.max_size = 50'000;
-  c.database_file = tb.create_file("db", c.database_size);
-  c.result_file = tb.create_file("res", 16 << 20);
-  auto& job = tb.add_job("mw", 4, tb.dualpar(),
-                         [c](std::uint32_t) { return wl::make_master_worker(c); },
-                         dualpar::Policy::kForcedDataDriven);
-  tb.run();
-  EXPECT_TRUE(job.finished());
-  EXPECT_TRUE(tb.cache().all_dirty_segments().empty());
-}
-
-TEST(MasterWorker, SingleRankJobEndsImmediately) {
-  harness::Testbed tb(small_config());
-  wl::MasterWorkerConfig c;
-  c.database_file = tb.create_file("db", 1 << 20);
-  c.result_file = tb.create_file("res", 1 << 20);
-  auto& job = tb.add_job("mw", 1, tb.vanilla(),
-                         [c](std::uint32_t) { return wl::make_master_worker(c); },
-                         dualpar::Policy::kForcedNormal);
-  tb.run();
-  EXPECT_TRUE(job.finished());
-  EXPECT_EQ(job.total_bytes(), 0u);
 }
 
 TEST(ServerCache, HitsSkipTheDisk) {

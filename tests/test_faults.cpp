@@ -12,7 +12,6 @@
 #include "fault/status.hpp"
 #include "harness/experiment_pool.hpp"
 #include "harness/testbed.hpp"
-#include "metrics/fault_report.hpp"
 #include "pfs/file_system.hpp"
 #include "wl/workloads.hpp"
 
@@ -329,19 +328,6 @@ TEST(FaultInjection, Rf1CallOutlastedByRestartingCrashEndsServerDown) {
   }
 }
 
-TEST(FaultInjection, FaultLedgerFormatsEveryCounter) {
-  fault::Counters c;
-  c.disk_media_errors = 3;
-  c.client_retries = 7;
-  const auto rows = metrics::fault_counter_rows(c);
-  EXPECT_EQ(rows.size(), 24u);
-  const std::string report = metrics::format_fault_report(c);
-  EXPECT_NE(report.find("disk_media_errors: 3"), std::string::npos);
-  EXPECT_NE(report.find("client_retries: 7"), std::string::npos);
-  const std::string line = metrics::fault_summary_line(c);
-  EXPECT_NE(line.find("disk=3"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Determinism: (seed, plan) fully decides a faulted run
 // ---------------------------------------------------------------------------
@@ -355,8 +341,7 @@ TEST(FaultDeterminism, SameSeedSamePlanIsByteIdentical) {
   const RunOut b = run_demo(cfg, true);
   EXPECT_EQ(a.completion, b.completion);
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(metrics::format_fault_report(a.counters),
-            metrics::format_fault_report(b.counters));
+  EXPECT_EQ(a.counters, b.counters);
 }
 
 TEST(FaultDeterminism, DifferentSeedsDiverge) {

@@ -24,7 +24,7 @@ TEST(FuzzGlobalCache, MatchesByteMapModel) {
   sim::Engine eng;
   net::Network net(eng, 3);
   cache::GlobalCache cache(eng, net, {0, 1, 2},
-                           cache::CacheParams{16 * 1024, sim::secs(1000), 0});
+                           cache::CacheParams{16 * 1024, sim::secs(1000)});
   sim::Rng rng(2024);
   // Reference model: byte -> {valid, dirty} for one file.
   std::map<std::uint64_t, std::pair<bool, bool>> model;

@@ -92,20 +92,10 @@ struct PfsFixture : ::testing::Test {
       servers.push_back(std::make_unique<DataServer>(eng, s, std::move(dev)));
       raw.push_back(servers.back().get());
     }
-    fs = std::make_unique<FileSystem>(eng, net, /*metadata_node=*/3, raw,
-                                      StripeLayout{64 * 1024, kServers});
+    fs = std::make_unique<FileSystem>(eng, net, raw, StripeLayout{64 * 1024, kServers});
     client = std::make_unique<Client>(*fs, /*node=*/4);
   }
 };
-
-TEST_F(PfsFixture, OpenRoundTripsThroughMetadataServer) {
-  const FileId f = fs->create("a", 1 << 20);
-  bool opened = false;
-  client->open(f, [&] { opened = true; });
-  eng.run();
-  EXPECT_TRUE(opened);
-  EXPECT_GE(net.messages_sent(), 2u);
-}
 
 TEST_F(PfsFixture, ReadCompletesWithByteCount) {
   const FileId f = fs->create("a", 8 << 20);

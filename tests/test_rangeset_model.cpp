@@ -1,6 +1,6 @@
 // Differential test: the flat-vector RangeSet against a reference model kept
 // as a std::map (the pre-overhaul implementation), under randomized
-// add/remove/covers/intersects/gaps_within sequences.
+// add/remove/covers/intersects sequences.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,22 +70,6 @@ class MapRangeSet {
     return it != ranges_.end() && it->first < end;
   }
 
-  std::vector<ByteRange> gaps_within(std::uint64_t begin, std::uint64_t end) const {
-    std::vector<ByteRange> gaps;
-    std::uint64_t cursor = begin;
-    auto it = ranges_.upper_bound(begin);
-    if (it != ranges_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second > cursor) cursor = std::min(prev->second, end);
-    }
-    for (; it != ranges_.end() && it->first < end; ++it) {
-      if (it->first > cursor) gaps.push_back(ByteRange{cursor, it->first});
-      cursor = std::max(cursor, std::min(it->second, end));
-    }
-    if (cursor < end) gaps.push_back(ByteRange{cursor, end});
-    return gaps;
-  }
-
   std::uint64_t total_bytes() const {
     std::uint64_t sum = 0;
     for (const auto& [b, e] : ranges_) sum += e - b;
@@ -136,7 +120,6 @@ TEST_P(RangeSetModelTest, RandomizedOpsMatchReferenceModel) {
       default: {
         EXPECT_EQ(flat.covers(b, e), model.covers(b, e)) << "op " << op;
         EXPECT_EQ(flat.intersects(b, e), model.intersects(b, e)) << "op " << op;
-        EXPECT_EQ(flat.gaps_within(b, e), model.gaps_within(b, e)) << "op " << op;
         break;
       }
     }
@@ -196,9 +179,6 @@ TEST(RangeSetModel, RemoveSplitsInPlace) {
   EXPECT_EQ(rs.ranges()[1], (ByteRange{60, 100}));
   EXPECT_FALSE(rs.covers(39, 41));
   EXPECT_TRUE(rs.intersects(39, 41));
-  const auto gaps = rs.gaps_within(0, 100);
-  ASSERT_EQ(gaps.size(), 1u);
-  EXPECT_EQ(gaps[0], (ByteRange{40, 60}));
 }
 
 }  // namespace

@@ -16,8 +16,6 @@
 #include "determinism.hpp"
 #include "fault/plan.hpp"
 #include "harness/testbed.hpp"
-#include "metrics/fault_report.hpp"
-#include "metrics/replica_report.hpp"
 #include "replica/placement.hpp"
 #include "sim/rng.hpp"
 #include "wl/workloads.hpp"
@@ -216,12 +214,20 @@ class CutProbe {
   bool armed_ = false;
 };
 
-/// Everything a replicated run observably produces, flattened: completion,
-/// bytes, events, latency tails, the fault ledger AND the durability report.
-/// With `cuts`, the run also carries a CutProbe and the signature its tally.
-std::string rep_signature(const fault::FaultPlan& plan, std::uint32_t rf,
-                          replica::Placement placement, replica::WriteFanout fanout,
-                          TrackerLog* cuts = nullptr) {
+/// Everything a replicated run observably produces: completion, bytes,
+/// events and latency tails flattened to a string, beside the fault ledger
+/// AND the durability report. With `cuts`, the run also carries a CutProbe
+/// and the string its tally.
+struct RepSignature {
+  std::string run;
+  fault::Counters faults;
+  replica::DurabilityReport durability;
+  friend bool operator==(const RepSignature&, const RepSignature&) = default;
+};
+
+RepSignature rep_signature(const fault::FaultPlan& plan, std::uint32_t rf,
+                           replica::Placement placement, replica::WriteFanout fanout,
+                           TrackerLog* cuts = nullptr) {
   harness::TestbedConfig cfg;
   cfg.data_servers = 4;
   cfg.compute_nodes = 3;
@@ -257,16 +263,15 @@ std::string rep_signature(const fault::FaultPlan& plan, std::uint32_t rf,
   const sim::Histogram lat = reader.read_latency();
   sig += " rd_n=" + std::to_string(lat.count());
   sig += " rd_p99=" + std::to_string(lat.percentile(0.99));
-  sig += "\n" + metrics::format_fault_report(tb.fault_injector()->counters());
-  sig += metrics::format_replica_report(tb.replica_manager()->report());
   if (cuts) {
-    sig += "cuts=" + std::to_string(cuts->cuts) +
+    sig += "\ncuts=" + std::to_string(cuts->cuts) +
            " peak_under=" + std::to_string(cuts->peak_under) + "\n";
     cuts->final_incremental = tb.replica_manager()->under_replicated_now();
     cuts->final_report = tb.replica_manager()->report();
     cuts->live_client_calls = tb.live_client_calls();
   }
-  return sig;
+  return RepSignature{sig, tb.fault_injector()->counters(),
+                      tb.replica_manager()->report()};
 }
 
 /// Tracker differential cases: random_plan's stalls, drops, partition and
@@ -297,7 +302,7 @@ fault::FaultPlan tracker_plan(const TrackerCase& c) {
   return plan;
 }
 
-std::string tracker_signature(const TrackerCase& c, TrackerLog& log) {
+RepSignature tracker_signature(const TrackerCase& c, TrackerLog& log) {
   return rep_signature(tracker_plan(c), c.rf, c.placement, c.fanout, &log);
 }
 
@@ -320,25 +325,26 @@ TEST(ReplicationDeterminism, ByteIdenticalAcrossWorkerCounts) {
   });
   // The tracker differential's plans, cut probe included: a cut that saw the
   // incremental count disagree with the full scan shows in the signature.
-  const std::vector<std::string> tracker = determinism::expect_deterministic(
+  const std::vector<RepSignature> tracker = determinism::expect_deterministic(
       std::size(kTrackerCases), [](std::size_t i) {
         TrackerLog log;
-        const std::string sig = tracker_signature(kTrackerCases[i], log);
-        return sig + "first_mismatch=" + log.first_mismatch;
+        RepSignature sig = tracker_signature(kTrackerCases[i], log);
+        sig.run += "first_mismatch=" + log.first_mismatch;
+        return sig;
       });
-  for (const std::string& sig : tracker)
-    EXPECT_TRUE(sig.ends_with("first_mismatch=")) << sig;
+  for (const RepSignature& sig : tracker)
+    EXPECT_TRUE(sig.run.ends_with("first_mismatch=")) << sig.run;
 }
 
 TEST(ReplicationDeterminism, LedgerIsNonTrivialUnderThePlan) {
   // Guard against the determinism sweep passing vacuously: the randomized
   // plans must actually invalidate copies and drive repair traffic.
-  const std::string sig =
+  const RepSignature sig =
       rep_signature(random_plan(0xfade, 4, 3), 2, replica::Placement::kRotational,
                     replica::WriteFanout::kStar);
-  EXPECT_NE(sig.find("server_crashes: 1"), std::string::npos) << sig;
-  EXPECT_EQ(sig.find("chunks_invalidated: 0\n"), std::string::npos) << sig;
-  EXPECT_EQ(sig.find("repair_ops_completed: 0\n"), std::string::npos) << sig;
+  EXPECT_EQ(sig.faults.server_crashes, 1u) << sig.run;
+  EXPECT_NE(sig.durability.counters.chunks_invalidated, 0u) << sig.run;
+  EXPECT_NE(sig.durability.counters.repair_ops_completed, 0u) << sig.run;
 }
 
 // ---------------------------------------------------------------------------

@@ -96,7 +96,6 @@ TEST(CfqScheduler, SliceExpiryRotatesContexts) {
 TEST(DiskDevice, AnticipationWaitInterruptedByNewArrival) {
   Engine eng;
   DiskParams p;
-  p.plug_delay = 0;
   DiskDevice dev(eng, p, make_cfq_scheduler());
   std::vector<Time> completions;
   Request r1 = req(1, 1000, 8, /*ctx=*/5);
@@ -117,7 +116,6 @@ TEST(DiskDevice, AnticipationWaitInterruptedByNewArrival) {
 TEST(DiskDevice, AccountingMatchesWork) {
   Engine eng;
   DiskParams p;
-  p.plug_delay = 0;
   DiskDevice dev(eng, p, make_noop_scheduler());
   for (std::uint64_t i = 0; i < 4; ++i) dev.submit(req(i, i * 100000, 64));
   eng.run();
@@ -143,7 +141,6 @@ TEST(BlkTrace, KeepEventsOffStillCountsStats) {
 TEST(Raid0Device, SingleSectorRequests) {
   Engine eng;
   DiskParams p;
-  p.plug_delay = 0;
   Raid0Device raid(eng, p, make_noop_scheduler(), make_noop_scheduler(), 128);
   int done = 0;
   for (std::uint64_t i = 0; i < 4; ++i) {

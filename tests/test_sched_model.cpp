@@ -123,12 +123,11 @@ void run_differential(const Policy& policy, std::uint64_t seed, int ops) {
       flat->enqueue(materialize(s), now);
       ref->enqueue(materialize(s), now);
     } else if (roll < 50) {
-      // Decomposed batch: usually an ascending run (the server fast path),
-      // sometimes shuffled.
+      // A burst at one instant: usually an ascending run (a decomposed
+      // list-I/O request), sometimes shuffled.
       const std::size_t n = 1 + rng.uniform(24);
       const bool ascending = !rng.chance(0.25);
       std::uint64_t lba = rng.uniform(1 << 12) * 8;
-      std::vector<Request> a, b;
       for (std::size_t i = 0; i < n; ++i) {
         ReqSpec s;
         s.id = next_id++;
@@ -136,11 +135,9 @@ void run_differential(const Policy& policy, std::uint64_t seed, int ops) {
         s.sectors = 8;
         s.is_write = rng.uniform(4) == 0;
         s.context = rng.uniform(6);
-        a.push_back(materialize(s));
-        b.push_back(materialize(s));
+        flat->enqueue(materialize(s), now);
+        ref->enqueue(materialize(s), now);
       }
-      flat->enqueue_batch(a.data(), n, now);
-      ref->enqueue_batch(b.data(), n, now);
     } else if (roll < 85) {
       ASSERT_EQ(flat->pending(), ref->pending()) << where;
       if (flat->pending() > 0) {
@@ -155,7 +152,7 @@ void run_differential(const Policy& policy, std::uint64_t seed, int ops) {
     }
   }
 
-  // Full drain. Batch enqueues can leave a backlog well beyond `ops`, so the
+  // Full drain. Bursts can leave a backlog well beyond `ops`, so the
   // runaway guard is sized from the actual backlog, not the op count.
   std::size_t guard = 0;
   const std::size_t drain_budget = flat->pending() + 1000;
@@ -179,56 +176,6 @@ TEST_P(SchedDifferential, FlatMatchesReferenceDecisionForDecision) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedDifferential,
                          ::testing::Values(1u, 2u, 3u, 42u, 1337u));
-
-/// enqueue_batch must be observationally identical to a loop of enqueue — on
-/// the overriding flat schedulers as well as the defaulted ones.
-TEST(SchedBatch, BatchEnqueueEqualsLoopEnqueue) {
-  for (const Policy& p : kPolicies) {
-    auto batched = p.flat();
-    auto looped = p.flat();
-    sim::Rng rng(7);
-    sim::Time now = 0;
-    std::uint64_t head_b = 0, head_l = 0, next_id = 1;
-    for (int round = 0; round < 40; ++round) {
-      const std::size_t n = 1 + rng.uniform(32);
-      std::vector<Request> a, b;
-      for (std::size_t i = 0; i < n; ++i) {
-        ReqSpec s;
-        s.id = next_id++;
-        s.lba = rng.uniform(1 << 10) * 8;
-        s.is_write = rng.uniform(4) == 0;
-        s.context = rng.uniform(4);
-        a.push_back(materialize(s));
-        b.push_back(materialize(s));
-      }
-      batched->enqueue_batch(a.data(), n, now);
-      for (std::size_t i = 0; i < n; ++i) looped->enqueue(std::move(b[i]), now);
-      ASSERT_EQ(batched->pending(), looped->pending());
-      const std::size_t serve = rng.uniform(n + 1);
-      for (std::size_t i = 0; i < serve; ++i) {
-        for (int spins = 0; spins < 64; ++spins) {
-          Decision db = batched->next(head_b, now);
-          Decision dl = looped->next(head_l, now);
-          expect_same(db, dl, std::string(p.name) + " batch-vs-loop");
-          if (::testing::Test::HasFatalFailure()) return;
-          if (db.kind == Decision::Kind::kWaitUntil) {
-            now = std::max(now + 1, db.wait_until);
-            continue;
-          }
-          if (db.kind == Decision::Kind::kDispatch) {
-            head_b = db.request.end_lba();
-            head_l = dl.request.end_lba();
-            now += sim::usec(80);
-            batched->completed(db.request, now);
-            looped->completed(dl.request, now);
-          }
-          break;
-        }
-      }
-      now += sim::msec(1 + rng.uniform(200));
-    }
-  }
-}
 
 /// The deadline scheduler's FIFO-desync guard (originally a reachable-looking
 /// throw in sched_simple.cpp): a request dispatched by the elevator sweep
@@ -404,15 +351,13 @@ TEST(SortedRunQueue, GenerationBumpsOnTakeAndSlotReuse) {
   EXPECT_NE(q.generation(s2), g1);
 }
 
-TEST(SortedRunQueue, BatchInsertReportsSlotsInArrivalOrder) {
+TEST(SortedRunQueue, DescendingBurstServesAscending) {
   SortedRunQueue q;
-  std::vector<Request> batch;
+  std::vector<std::uint32_t> slots;
   for (std::uint64_t i = 0; i < 10; ++i)
-    batch.push_back(materialize({i + 1, (10 - i) * 64, 8, false, 0}));  // descending
-  std::vector<std::uint32_t> slots(batch.size());
-  q.insert_batch(batch.data(), batch.size(), slots.data());
+    slots.push_back(q.insert(materialize({i + 1, (10 - i) * 64, 8, false, 0})));  // descending
   for (std::size_t i = 0; i < slots.size(); ++i)
-    EXPECT_EQ(q.slot_request(slots[i]).id, i + 1);
+    EXPECT_EQ(q.peek(q.index_of_slot(slots[i])).id, i + 1);
   // Elevator still serves in ascending order.
   std::uint64_t head = 0, prev = 0;
   while (!q.empty()) {
